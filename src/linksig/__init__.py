@@ -7,7 +7,6 @@ produces concordance-obstruction reports.
 """
 
 from . import catalog
-from ._kernels import available_backends, default_backend
 from .clink import (
     ColoredLinkData,
     SlopeData,
@@ -30,8 +29,8 @@ from .errors import (
     AmbiguousSlope,
     BasePoint,
     CoordinateOne,
+    EigensolverFailure,
     InvalidInput,
-    JacobiNoConvergence,
     LinksigError,
     MissingSeifertData,
     Mu1NotApplicable,

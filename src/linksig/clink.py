@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Mapping
+from math import lcm
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -179,17 +180,54 @@ def _coefficient(point: TorusPoint, eps: SignVector, conjugated: bool) -> comple
     return c
 
 
-def _seifert_arrays(link: ColoredLinkData):
-    """Completed float matrices with their max-abs entries, cached per link."""
+def _seifert_arrays(link: ColoredLinkData) -> tuple[np.ndarray, np.ndarray]:
+    """The completed matrices stacked as (2^mu, g, g) floats in sign_vectors
+    order, with their max-abs entries; cached per link."""
     cache = link.__dict__.get("_np_seifert")
     if cache is None:
         g = link.g
-        cache = []
-        for eps in sign_vectors(link.mu):
-            a = np.array(link.seifert_matrix(eps), dtype=np.float64).reshape(g, g)
-            cache.append((eps, a, float(np.max(np.abs(a))) if g else 0.0))
-        object.__setattr__(link, "_np_seifert", tuple(cache))
+        stack = np.array([link.seifert_matrix(eps) for eps in sign_vectors(link.mu)],
+                         dtype=np.float64).reshape(2**link.mu, g, g)
+        cache = (stack, np.abs(stack).max(axis=(1, 2), initial=0.0))
+        object.__setattr__(link, "_np_seifert", cache)
     return cache
+
+
+def seifert_coefficients(mu: int, points: Sequence[TorusPoint]) -> np.ndarray:
+    """The (P, 2^mu) array of prod_i (1 - conj(omega_i)^{eps_i}), one row per
+    point and one column per sign vector in sign_vectors order.
+
+    Points are grouped by the common denominator d of their turns.  Each group
+    reads its factors from one table of unit_root(k, d) indexed by integer
+    numerators, so conjugate factor pairs are exact floating conjugates.
+    """
+    groups: dict[int, list[int]] = {}
+    for row, pt in enumerate(points):
+        groups.setdefault(lcm(*(q.denominator for q in pt.turns)), []).append(row)
+    coef = np.empty((len(points), 2**mu), dtype=np.complex128)
+    for d, rows in groups.items():
+        nums = np.array([[q.numerator * (d // q.denominator) for q in points[r].turns] for r in rows])
+        ks = np.concatenate([-nums, nums]) % d
+        keys = sorted(set(ks.ravel().tolist()))
+        table = 1.0 - np.array([unit_root(k, d) for k in keys], dtype=np.complex128)
+        factors = table[np.searchsorted(keys, ks)].reshape(2, len(rows), mu)  # eps_i = +1, -1
+        c = factors[:, :, 0].T
+        for i in range(1, mu):
+            c = (c[:, :, None] * factors[:, :, i].T[:, None, :]).reshape(len(rows), -1)
+        coef[rows] = c
+    return coef
+
+
+def hermitian_forms(link: ColoredLinkData, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (P, g, g) forms sum_eps coef[:, eps] A^eps and their scales, as in
+    hermitian_with_scale.  Entries that overflow come back infinite, and
+    inertia rejects them.
+    """
+    if link.seifert is None:
+        raise MissingSeifertData(f"link {link.name!r} has no Seifert data")
+    stack, amax = _seifert_arrays(link)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.einsum("pe,ejk->pjk", coef, stack), np.abs(coef) @ amax
 
 
 def hermitian_at(link: ColoredLinkData, point: TorusPoint) -> np.ndarray:
@@ -202,6 +240,7 @@ def hermitian_with_scale(link: ColoredLinkData, point: TorusPoint) -> tuple[np.n
 
     The scale sum_eps |coeff(eps)| * max|A^eps| bounds every entry; inertia
     thresholds relative to it keep exact cancellations classified as zeros.
+    hermitian_forms is the batched counterpart.
     """
     if point.mu != link.mu:
         raise InvalidInput(f"point arity {point.mu} != link mu {link.mu}")
@@ -217,7 +256,8 @@ def hermitian_with_scale(link: ColoredLinkData, point: TorusPoint) -> tuple[np.n
         t = (-q) % 1
         f_plus.append(1.0 - unit_root(t.numerator, t.denominator))
         f_minus.append(1.0 - unit_root(q.numerator, q.denominator))
-    for eps, a, amax in _seifert_arrays(link):
+    stack, amaxes = _seifert_arrays(link)
+    for eps, a, amax in zip(sign_vectors(link.mu), stack, amaxes.tolist()):
         c = complex(1.0, 0.0)
         for i, e in enumerate(eps):
             c *= f_plus[i] if e > 0 else f_minus[i]

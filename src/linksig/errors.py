@@ -21,8 +21,8 @@ class NotHermitian(InvalidInput):
     """Matrix is not Hermitian within the admissible tolerance."""
 
 
-class JacobiNoConvergence(LinksigError):
-    """The eigenvalue iteration failed to reduce the off-diagonal norm."""
+class EigensolverFailure(LinksigError):
+    """A form or its scale is not finite, or the eigenvalue routine failed."""
 
 
 class CoordinateOne(InvalidInput):

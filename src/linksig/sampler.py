@@ -1,9 +1,10 @@
 """Torus sampling: grids, signature/nullity sweeps, reports.
 
-Points are generated in deterministic lexicographic order and evaluated as
-pure functions, so sweeps may run on any number of workers and still produce
-identical output (records are assembled in generator order).  A coordinate
-counts as 1 iff its stored rational turn is 0 - never by float comparison.
+Points are generated in deterministic lexicographic order and records come
+back in the order of the points.  Interior points are evaluated in chunks:
+one coefficient array per chunk, one einsum for the Hermitian forms and one
+batched eigvalsh call.  A coordinate counts as 1 iff its stored rational
+turn is 0 - never by float comparison.
 
 Faces are computable in two cases: one color (omega = 1 via the framed
 linking matrix) and, for more colors, exactly one coordinate equal to 1 with
@@ -14,16 +15,14 @@ from __future__ import annotations
 
 import io
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Iterator
 
-from .clink import ColoredLinkData, SlopeData, hermitian_with_scale
+from .clink import ColoredLinkData, SlopeData, hermitian_forms, hermitian_with_scale, seifert_coefficients
 from .errors import InvalidInput, LinksigError, MissingSeifertData
-from .hermitian import DEFAULT_TAU, inertia
+from .hermitian import DEFAULT_TAU, inertia, inertia_many
 from .invariants import face_parts, signature_at_full_one
 from .laurent import LaurentPoly, eval_at
 from .strata import DEFAULT_TAU_POLY
@@ -36,6 +35,11 @@ SOURCE_SKIPPED = "Skipped"
 FLAG_INFINITE_SLOPE = "InfiniteSlope"
 FLAG_FACE_UNAVAILABLE = "FaceUnavailable"
 FLAG_ERROR = "EvaluationError"
+
+# Interior points are evaluated this many at a time, fewer when the forms are
+# large: a chunk holds at most _CHUNK_ENTRIES matrix entries.
+_CHUNK_POINTS = 1024
+_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -88,19 +92,6 @@ def tbang_points(p: int, d: int, mu: int) -> Iterator[TorusPoint]:
         yield TorusPoint(tuple(Fraction(k, order) for k in ks))
 
 
-def worker_count() -> int:
-    raw = os.environ.get("LINKSIG_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise InvalidInput(f"LINKSIG_THREADS={raw!r} is not a positive integer") from exc
-    if n < 1:
-        raise InvalidInput("LINKSIG_THREADS must be >= 1")
-    return n
-
-
 def _evaluate_point(link: ColoredLinkData, slope_data: SlopeData | None,
                     point: TorusPoint, tau: float) -> SampleRecord:
     ones = point.unit_coordinates()
@@ -124,17 +115,38 @@ def _evaluate_point(link: ColoredLinkData, slope_data: SlopeData | None,
                             (FLAG_ERROR, type(exc).__name__))
 
 
+def _evaluate_chunk(link: ColoredLinkData, slope_data: SlopeData | None,
+                    chunk: list[TorusPoint], tau: float) -> list[SampleRecord]:
+    # interior points in one batch; the rest, and any form the batch cannot
+    # classify, through _evaluate_point
+    records: list[SampleRecord | None] = [None] * len(chunk)
+    interior = []
+    for i, pt in enumerate(chunk):
+        if pt.mu == link.mu and all(pt.turns):
+            interior.append(i)
+        else:
+            records[i] = _evaluate_point(link, slope_data, pt, tau)
+    if interior:
+        coef = seifert_coefficients(link.mu, [chunk[i] for i in interior])
+        h, scale = hermitian_forms(link, coef)
+        results = zip(interior, *(col.tolist() for col in inertia_many(h, scale, tau)))
+        for i, sigma, eta, certified, ok in results:
+            records[i] = (SampleRecord(chunk[i], sigma, eta, SOURCE_INTERIOR, certified) if ok
+                          else _evaluate_point(link, slope_data, chunk[i], tau))
+    return records
+
+
 def sample_map(link: ColoredLinkData, points: Iterable[TorusPoint],
                slope_data: SlopeData | None = None, tau: float = DEFAULT_TAU) -> list[SampleRecord]:
     """Evaluate signature/nullity over the given points, in their order."""
     if not link.has_seifert():
         raise MissingSeifertData(f"link {link.name!r} has no Seifert data; nothing to sample")
-    pts = list(points)
-    workers = worker_count()
-    if workers == 1 or len(pts) < 4:
-        return [_evaluate_point(link, slope_data, pt, tau) for pt in pts]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda pt: _evaluate_point(link, slope_data, pt, tau), pts))
+    size = max(1, min(_CHUNK_POINTS, _CHUNK_ENTRIES // max(1, link.g ** 2)))
+    it = iter(points)
+    records = []
+    while chunk := list(islice(it, size)):
+        records += _evaluate_chunk(link, slope_data, chunk, tau)
+    return records
 
 
 def _axis_neighbors(point: TorusPoint, n: int, mu1_full_circle: bool) -> Iterator[tuple[TorusPoint, TorusPoint]]:
