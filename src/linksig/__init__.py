@@ -65,6 +65,7 @@ from .laurent import (
     conj_involution,
     eq_up_to_units,
     eval_at,
+    eval_many,
     exact_div,
     format_poly,
     gcd,
@@ -93,6 +94,7 @@ from .strata import (
     load_presentation,
     save_presentation,
     stratum_index,
+    stratum_indices,
     vanishes_at,
 )
 from .torus import TorusPoint, unit_root

@@ -33,7 +33,7 @@ from .sampler import (
     records_to_ppm,
     sample_map,
 )
-from .strata import DEFAULT_TAU_POLY, load_presentation, save_presentation, stratum_index
+from .strata import DEFAULT_TAU_POLY, load_presentation, save_presentation, stratum_indices
 from .torus import TorusPoint
 
 EXIT_OK = 0
@@ -169,12 +169,11 @@ def _cmd_ideals(args) -> int:
         points = [TorusPoint.from_string(args.omega)]
     else:
         points = [pt for pt in grid(args.grid, pres.mu, include_faces=True) if not pt.is_basepoint()]
-    for pt in points:
-        rep = stratum_index(pres, pt, args.tau_poly)
+    for rep in stratum_indices(pres, points, args.tau_poly):
         predicted = "NA" if rep.predicted_nullity is None else str(rep.predicted_nullity)
         flags = "|".join(sorted(rep.flags))
         uncertain = uncertain or "Uncertain" in rep.flags
-        lines.append(",".join(list(pt.turn_strings()) + [str(rep.index), predicted, flags]))
+        lines.append(",".join(list(rep.point.turn_strings()) + [str(rep.index), predicted, flags]))
     _write_output("\n".join(lines) + "\n", args.out)
     return EXIT_UNCERTAIN if uncertain else EXIT_OK
 

@@ -15,14 +15,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from itertools import product
-from math import lcm
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import CoordinateOne, InvalidInput, MissingSeifertData, Mu1NotApplicable, Mu1Only
 from .laurent import LaurentPoly, format_poly, parse_poly
-from .torus import TorusPoint, unit_root
+from .torus import TorusPoint, denominator_groups, unit_root, unit_roots
 
 SignVector = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -197,20 +196,15 @@ def seifert_coefficients(mu: int, points: Sequence[TorusPoint]) -> np.ndarray:
     """The (P, 2^mu) array of prod_i (1 - conj(omega_i)^{eps_i}), one row per
     point and one column per sign vector in sign_vectors order.
 
-    Points are grouped by the common denominator d of their turns.  Each group
-    reads its factors from one table of unit_root(k, d) indexed by integer
-    numerators, so conjugate factor pairs are exact floating conjugates.
+    Points are grouped by the common denominator d of their turns
+    (denominator_groups), and each group reads its factors from one table of
+    unit_root(k, d) indexed by integer numerators, so conjugate factor pairs
+    are exact floating conjugates.
     """
-    groups: dict[int, list[int]] = {}
-    for row, pt in enumerate(points):
-        groups.setdefault(lcm(*(q.denominator for q in pt.turns)), []).append(row)
     coef = np.empty((len(points), 2**mu), dtype=np.complex128)
-    for d, rows in groups.items():
-        nums = np.array([[q.numerator * (d // q.denominator) for q in points[r].turns] for r in rows])
+    for d, rows, nums in denominator_groups(points):
         ks = np.concatenate([-nums, nums]) % d
-        keys = sorted(set(ks.ravel().tolist()))
-        table = 1.0 - np.array([unit_root(k, d) for k in keys], dtype=np.complex128)
-        factors = table[np.searchsorted(keys, ks)].reshape(2, len(rows), mu)  # eps_i = +1, -1
+        factors = (1.0 - unit_roots(ks, d)).reshape(2, len(rows), mu)  # eps_i = +1, -1
         c = factors[:, :, 0].T
         for i in range(1, mu):
             c = (c[:, :, None] * factors[:, :, i].T[:, None, :]).reshape(len(rows), -1)

@@ -68,7 +68,9 @@ def inertia(m: np.ndarray, tau: float = DEFAULT_TAU, scale: float | None = None)
     Eigenvalues with |lambda| > tau*scale count into the signature, the rest
     into the nullity; certified is False when any eigenvalue falls inside
     the band (tau*scale/16, 16*tau*scale).  A matrix or scale that is not
-    finite, or an eigensolver failure, raises EigensolverFailure.
+    finite, or an eigensolver failure, raises EigensolverFailure.  The
+    Hermitian defect is measured against the larger of scale and the largest
+    entry, so a form that cancels to rounding residue classifies as zeros.
     """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -79,15 +81,16 @@ def inertia(m: np.ndarray, tau: float = DEFAULT_TAU, scale: float | None = None)
     if not np.all(np.isfinite(a)):
         raise EigensolverFailure(f"a {n}x{n} matrix has non-finite entries")
     entry_scale = float(np.max(np.abs(a)))
-    herm_defect = float(np.max(np.abs(a - a.conj().T)))
-    if herm_defect > _HERMITIAN_REL * entry_scale:
-        raise NotHermitian(f"asymmetry {herm_defect:.3e} exceeds {_HERMITIAN_REL:.0e} * {entry_scale:.3e}")
     if scale is None:
         scale = entry_scale
     if scale < 0:
         raise InvalidInput("scale must be nonnegative")
     if not math.isfinite(scale):
         raise EigensolverFailure(f"scale {scale} is not finite")
+    reference = max(entry_scale, scale)
+    herm_defect = float(np.max(np.abs(a - a.conj().T)))
+    if herm_defect > _HERMITIAN_REL * reference:
+        raise NotHermitian(f"asymmetry {herm_defect:.3e} exceeds {_HERMITIAN_REL:.0e} * {reference:.3e}")
     try:
         eig = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:
@@ -114,7 +117,7 @@ def inertia_many(h: np.ndarray, scale: np.ndarray,
     with np.errstate(invalid="ignore"):  # inf - inf in a form that is rejected anyway
         herm_defect = np.abs(h - herm).max(axis=(1, 2), initial=0.0)
     ok = (np.isfinite(h).all(axis=(1, 2)) & np.isfinite(scale)
-          & (herm_defect <= _HERMITIAN_REL * entry_scale))
+          & (herm_defect <= _HERMITIAN_REL * np.maximum(entry_scale, scale)))
     eig = np.zeros(h.shape[:2])
     try:
         eig[ok] = np.linalg.eigvalsh((h[ok] + herm[ok]) / 2.0)

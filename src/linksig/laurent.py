@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import InvalidInput, NotDivisible
-from .torus import TorusPoint, unit_root
+from .torus import TorusPoint, denominator_groups, unit_root, unit_roots
 
 Monomial = tuple[int, ...]
 
@@ -171,12 +173,20 @@ class LaurentPoly:
 # -- evaluation --------------------------------------------------------------
 
 
+def _float_coefficient(c: int) -> float:
+    try:
+        return float(c)
+    except OverflowError:
+        raise InvalidInput(f"a coefficient of {c.bit_length()} bits does not fit a float") from None
+
+
 def eval_at(p: LaurentPoly, point: TorusPoint) -> complex:
     """Evaluate at omega on the torus by substituting t_i -> omega_i.
 
     Exponents act on the exact turns, reduced mod 1, so negative powers are
     conjugate powers and half-step exponents use the principal half turn
-    omega_i^(1/2) = e^(i*pi*q_i) with q_i in [0, 1).
+    omega_i^(1/2) = e^(i*pi*q_i) with q_i in [0, 1).  A coefficient too large
+    for a float raises InvalidInput.
     """
     if p.mu != point.mu:
         raise InvalidInput(f"arity mismatch: poly has mu={p.mu}, point has mu={point.mu}")
@@ -193,8 +203,44 @@ def eval_at(p: LaurentPoly, point: TorusPoint) -> complex:
         m = 0
         for e, n in zip(mono, numerators):
             m += e * n
-        total += c * unit_root(m % den, den)
+        total += _float_coefficient(c) * unit_root(m % den, den)
     return total
+
+
+def eval_numerators(p: LaurentPoly, d: int, nums: np.ndarray) -> np.ndarray:
+    """p at the points whose turns are the rows of nums / d, as in eval_at.
+
+    nums is a (P, mu) integer array, one group of torus.denominator_groups.
+    Every value equals eval_at's bit for bit: the exponent sums are exact
+    integers reduced mod the denominator, the roots come from the same
+    unit_root values, and the terms are multiplied and summed in the same
+    order with the same float operations.  (A matmul or np.sum of the terms
+    would reorder the additions.)
+    """
+    total = np.zeros(len(nums), dtype=np.complex128)
+    if p.is_zero():
+        return total
+    den = 2 * d if p.half_step else d
+    exps = np.array(list(p.terms), dtype=object) % den
+    # exact in int64 while every exponent sum mu * (d - 1) * (den - 1) fits
+    dtype = np.int64 if p.mu * d * den < 1 << 63 else object
+    m = (nums.astype(dtype) @ exps.astype(dtype).T) % den
+    roots = unit_roots(m, den)
+    for t, c in enumerate(p.terms.values()):
+        total += _float_coefficient(c) * roots[:, t]
+    return total
+
+
+def eval_many(p: LaurentPoly, points: Sequence[TorusPoint]) -> np.ndarray:
+    """eval_at at every point, as one complex128 array with identical values."""
+    for point in points:
+        if p.mu != point.mu:
+            raise InvalidInput(f"arity mismatch: poly has mu={p.mu}, point has mu={point.mu}")
+    out = np.zeros(len(points), dtype=np.complex128)
+    if not p.is_zero():
+        for d, rows, nums in denominator_groups(points):
+            out[rows] = eval_numerators(p, d, nums)
+    return out
 
 
 # -- unit normalization ------------------------------------------------------
@@ -419,6 +465,13 @@ def to_half_step(p: LaurentPoly) -> LaurentPoly:
 _FACTOR_RE = re.compile(r"t(\d*)(?:\^(-?\d+))?")
 
 
+def _parse_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # beyond the interpreter's limit on int-from-string conversion
+        raise InvalidInput(f"a number of {len(digits)} digits is too long") from None
+
+
 def parse_poly(text: str, mu: int | None = None, half_step: bool = False) -> LaurentPoly:
     """Parse the textual grammar: terms joined by +/-, factors like 2*t1^-3*t2.
 
@@ -461,15 +514,15 @@ def parse_poly(text: str, mu: int | None = None, half_step: bool = False) -> Lau
             if factor[0] in "0123456789":
                 if not factor.isdigit():
                     raise InvalidInput(f"bad coefficient {factor!r} in {text!r}")
-                coeff *= int(factor)
+                coeff *= _parse_int(factor)
                 continue
             m = _FACTOR_RE.fullmatch(factor)
             if not m:
                 raise InvalidInput(f"bad factor {factor!r} in {text!r}")
-            idx = int(m.group(1)) if m.group(1) else 1
+            idx = _parse_int(m.group(1)) if m.group(1) else 1
             if idx < 1:
                 raise InvalidInput(f"bad variable index in {factor!r}")
-            exp = int(m.group(2)) if m.group(2) else 1
+            exp = _parse_int(m.group(2)) if m.group(2) else 1
             exps[idx] = exps.get(idx, 0) + exp
             max_index = max(max_index, idx)
         parsed.append((coeff, exps))

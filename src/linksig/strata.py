@@ -5,6 +5,16 @@ n >= m.  The r-th elementary ideal is generated by the (m-r+1)-minors, with
 the conventions E_r = (0) for r <= 0 and E_r = (1) for r > m.  The stratum
 of a pointed-torus sample is the largest r whose ideal vanishes there; it
 predicts the nullity when at most two coordinates equal 1.
+
+stratum_indices classifies a whole list of samples at once.  Samples that
+share the common denominator d of their turns form one group with integer
+numerators; each nonzero generator of E_r is evaluated over the group in one
+pass (laurent.eval_numerators) and compared with its cut, r = 1, 2, ..., and
+a sample drops out at its first non-vanishing ideal.  The classification is
+the one a per-sample loop over vanishes_at would give, bit for bit: the
+exponent sums are exact integers, the roots are the same unit_root values,
+the terms are summed in the same order, and magnitudes come from np.hypot,
+which rounds as abs(complex) does.
 """
 
 from __future__ import annotations
@@ -12,10 +22,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
+
+import numpy as np
 
 from .errors import BasePoint, InvalidInput
-from .laurent import LaurentPoly, eval_at, format_poly, gcd_many, parse_poly, unit_normalize
-from .torus import TorusPoint
+from .laurent import LaurentPoly, eval_at, eval_numerators, format_poly, gcd_many, parse_poly, unit_normalize
+from .torus import TorusPoint, denominator_groups
 
 DEFAULT_TAU_POLY = 1e-8
 _UNCERTAIN_BAND = 16.0
@@ -118,25 +131,22 @@ def first_ideal_gcd(p: PresentationMatrix) -> LaurentPoly:
     return unit_normalize(gcd_many(gens))
 
 
+def _vanishing_cut(g: LaurentPoly, tau_poly: float) -> float:
+    """The bound tau_poly * (1 + coefficient mass) below which |g| counts as 0."""
+    try:
+        return tau_poly * float(1 + g.coefficient_mass())
+    except OverflowError:
+        raise InvalidInput("a generator's coefficient mass does not fit a float") from None
+
+
 def vanishes_at(gens, point: TorusPoint, tau_poly: float = DEFAULT_TAU_POLY) -> bool:
     """Whether every generator vanishes at omega, relative to coefficient mass."""
     for g in gens:
         if g.is_zero():
             continue
-        if abs(eval_at(g, point)) > tau_poly * (1 + g.coefficient_mass()):
+        if abs(eval_at(g, point)) > _vanishing_cut(g, tau_poly):
             return False
     return True
-
-
-def _near_threshold(gens, point: TorusPoint, tau_poly: float) -> bool:
-    for g in gens:
-        if g.is_zero():
-            continue
-        v = abs(eval_at(g, point))
-        cut = tau_poly * (1 + g.coefficient_mass())
-        if cut / _UNCERTAIN_BAND < v < cut * _UNCERTAIN_BAND:
-            return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -147,34 +157,57 @@ class StratumReport:
     flags: frozenset[str]
 
 
+def stratum_indices(p: PresentationMatrix, points: Sequence[TorusPoint],
+                    tau_poly: float = DEFAULT_TAU_POLY) -> list[StratumReport]:
+    """The largest r whose elementary ideal vanishes at each sample, in order.
+
+    Index r >= 1 needs every nonzero generator of E_1, ..., E_r to vanish
+    (vanishes_at); a sample is flagged Uncertain when a generator of one of
+    those ideals, or of the first that does not vanish, has |value| within a
+    factor 16 of its cut.  The nullity prediction is suppressed when more than
+    two coordinates equal 1.  The samples are classified in batches, one per
+    common denominator (see the module docstring).
+    """
+    for pt in points:
+        if pt.mu != p.mu:
+            raise InvalidInput(f"point arity {pt.mu} != presentation arity {p.mu}")
+        if pt.is_basepoint():
+            raise BasePoint("the stratification lives on the pointed torus")
+    index = np.zeros(len(points), dtype=np.int64)
+    uncertain = np.zeros(len(points), dtype=bool)
+    for d, rows, nums in denominator_groups(points):
+        live = np.asarray(rows)  # samples whose index is still climbing
+        for r in range(1, p.m_generators + 1):
+            near = np.zeros(len(live), dtype=bool)
+            vanish = np.ones(len(live), dtype=bool)
+            for g in p.elementary_ideal(r):
+                if g.is_zero():
+                    continue
+                z = eval_numerators(g, d, nums)
+                v = np.hypot(z.real, z.imag)  # abs(complex) bit for bit; np.abs may differ
+                cut = _vanishing_cut(g, tau_poly)
+                near |= (cut / _UNCERTAIN_BAND < v) & (v < cut * _UNCERTAIN_BAND)
+                vanish &= ~(v > cut)
+            uncertain[live] |= near
+            live, nums = live[vanish], nums[vanish]
+            index[live] = r
+            if not len(live):
+                break
+    reports = []
+    for pt, i, unsure in zip(points, index.tolist(), uncertain.tolist()):
+        flags = {FLAG_UNCERTAIN} if unsure else set()
+        predicted = i
+        if len(pt.unit_coordinates()) > 2:
+            flags.add(FLAG_MORE_THAN_TWO_ONES)
+            predicted = None
+        reports.append(StratumReport(pt, i, predicted, frozenset(flags)))
+    return reports
+
+
 def stratum_index(p: PresentationMatrix, point: TorusPoint,
                   tau_poly: float = DEFAULT_TAU_POLY) -> StratumReport:
-    """The largest r whose elementary ideal vanishes at the sample.
-
-    The nullity prediction is suppressed when more than two coordinates
-    equal 1.
-    """
-    if point.mu != p.mu:
-        raise InvalidInput(f"point arity {point.mu} != presentation arity {p.mu}")
-    if point.is_basepoint():
-        raise BasePoint("the stratification lives on the pointed torus")
-    flags = set()
-    index = 0
-    for r in range(1, p.m_generators + 1):
-        gens = p.elementary_ideal(r)
-        if _near_threshold(gens, point, tau_poly):
-            flags.add(FLAG_UNCERTAIN)
-        if vanishes_at(gens, point, tau_poly):
-            index = r
-        else:
-            break
-    ones = len(point.unit_coordinates())
-    if ones > 2:
-        flags.add(FLAG_MORE_THAN_TWO_ONES)
-        predicted = None
-    else:
-        predicted = index
-    return StratumReport(point, index, predicted, frozenset(flags))
+    """stratum_indices at one sample."""
+    return stratum_indices(p, [point], tau_poly)[0]
 
 
 # -- file schema ----------------------------------------------------------------

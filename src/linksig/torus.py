@@ -4,6 +4,10 @@ A coordinate is stored as a "turn" q in [0, 1), meaning omega = e^(2*pi*i*q).
 Keeping the turns as exact fractions makes face detection (omega_j = 1) a
 matter of q_j == 0, never a floating comparison, and lets evaluation reduce
 angles mod 1 exactly before any float enters the picture.
+
+Batched evaluation groups points by the common denominator d of their turns
+(denominator_groups) and reads unit_root(k, d) for integer arrays of k from
+a table of the distinct k (unit_roots).
 """
 
 from __future__ import annotations
@@ -12,6 +16,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
+
+import numpy as np
 
 from .errors import InvalidInput
 
@@ -45,6 +52,17 @@ def unit_root(num: int, den: int) -> complex:
     if len(_ROOT_CACHE) < 65536:
         _ROOT_CACHE[key] = z
     return z
+
+
+def unit_roots(ks: np.ndarray, den: int) -> np.ndarray:
+    """unit_root(k, den) for every entry k of an integer array, 0 <= k < den.
+
+    Each value is the one unit_root returns, read from a table of the
+    distinct entries.
+    """
+    keys, inv = np.unique(ks, return_inverse=True)
+    table = np.array([unit_root(int(k), den) for k in keys], dtype=np.complex128)
+    return table[inv.reshape(ks.shape)]
 
 
 @dataclass(frozen=True)
@@ -112,3 +130,20 @@ class TorusPoint:
 
     def __str__(self) -> str:
         return "(" + ", ".join(self.turn_strings()) + ")"
+
+
+def denominator_groups(points: Sequence[TorusPoint]) -> list[tuple[int, list[int], np.ndarray]]:
+    """The points grouped by the common denominator d of their turns.
+
+    One (d, rows, nums) triple per d, in order of first appearance: rows
+    index the group's points in the sequence, and nums[i, j] / d is turn j of
+    points[rows[i]], an integer array: int64 for d < 2^63 (numerators lie in
+    [0, d)), Python ints in an object array beyond.  The points must share one
+    arity.
+    """
+    groups: dict[int, list[int]] = {}
+    for row, pt in enumerate(points):
+        groups.setdefault(math.lcm(*(q.denominator for q in pt.turns)), []).append(row)
+    return [(d, rows, np.array([[q.numerator * (d // q.denominator) for q in points[r].turns]
+                                for r in rows], dtype=np.int64 if d < 1 << 63 else object))
+            for d, rows in groups.items()]

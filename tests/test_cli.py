@@ -150,6 +150,17 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
     assert main(["sigmap", str(schema), "--grid", "4"]) == 2
 
 
+def test_ideals_huge_coefficient_exits_2(tmp_path, capsys):
+    pres = {"mu": 2, "entries": [[f"{10**400}*t1 - 1"], ["t2 - 1"]]}
+    path = tmp_path / "huge.presentation.json"
+    path.write_text(json.dumps(pres))
+    for mode in (["--omega", "1/3,1/5"], ["--classify", "--grid", "3"]):
+        assert main(["ideals", str(path)] + mode) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_polynomial_only_link_cannot_be_sampled(tmp_path, capsys):
     from linksig.clink import link_to_dict
 

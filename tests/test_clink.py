@@ -15,7 +15,9 @@ from linksig.clink import (
     link_to_dict,
     mirror,
     nu_exponents,
+    seifert_coefficients,
     seifert_framed_linking_matrix,
+    sign_vectors,
     slope_from_dict,
     slope_matrix_at,
     slope_to_dict,
@@ -28,7 +30,7 @@ from linksig.errors import (
     Mu1Only,
 )
 from linksig.hermitian import exact_symmetric_inertia, inertia
-from linksig.torus import TorusPoint
+from linksig.torus import TorusPoint, unit_root
 
 from conftest import random_point
 
@@ -71,6 +73,23 @@ def test_hermitian_forms_are_hermitian(rng):
                 continue
             defect = np.max(np.abs(h - h.conj().T))
             assert defect <= 1e-12 * max(scale, 1e-300)
+
+
+def test_seifert_coefficients_huge_denominators():
+    # common denominators on both sides of 2^63 and 2^64
+    pts = [TorusPoint.of(Fraction(1, 2**61 + 1), Fraction(1, 2)),
+           TorusPoint.of(Fraction(1, 2**62 + 1), Fraction(1, 3)),
+           TorusPoint.of(Fraction(1, 2**70 + 1), Fraction(2, 7)),
+           TorusPoint.of(Fraction(1, 3), Fraction(1, 2))]
+    coef = seifert_coefficients(2, pts)
+    for row, pt in zip(coef.tolist(), pts):
+        expected = []
+        for eps in sign_vectors(2):
+            z = 1
+            for e, q in zip(eps, pt.turns):
+                z *= 1 - unit_root(-e * q.numerator, q.denominator)
+            expected.append(z)
+        assert row == expected
 
 
 def test_conjugation_symmetry(rng):

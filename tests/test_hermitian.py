@@ -50,6 +50,20 @@ def test_external_scale_controls_classification():
     assert r.pair == (0, 1) and r.certified
 
 
+def test_hermitian_defect_measured_against_scale():
+    # a form that cancels to rounding residue: its asymmetry is of the order
+    # of its entries, but negligible against the structural scale
+    m = np.array([[1e-17, 2e-17 + 1e-17j, 0],
+                  [3e-17, -1e-17, 1e-17j],
+                  [0, -2e-17j, 2e-17]])
+    with pytest.raises(NotHermitian):
+        inertia(m)
+    r = inertia(m, scale=10.0)
+    assert r.pair == (0, 3) and r.certified
+    sig, null, cert, ok = inertia_many(m[None], np.array([10.0]))
+    assert (sig[0], null[0], cert[0], ok[0]) == (0, 3, True, True)
+
+
 # Two congruence blocks from the randomized property suite (diagonals
 # [-3, 1, 5, -2, 5] and [2, 5, 4]).  Cyclic Jacobi rotations met a subnormal
 # off-diagonal pivot on their direct sum, overflowed and never converged.

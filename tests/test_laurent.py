@@ -1,7 +1,9 @@
 """Ring arithmetic, normalization, divisibility, gcd, and the text grammar."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from linksig.errors import InvalidInput, NotDivisible
@@ -11,6 +13,7 @@ from linksig.laurent import (
     divides,
     eq_up_to_units,
     eval_at,
+    eval_many,
     exact_div,
     format_poly,
     gcd,
@@ -19,9 +22,9 @@ from linksig.laurent import (
     to_half_step,
     unit_normalize,
 )
-from linksig.torus import TorusPoint
+from linksig.torus import TorusPoint, denominator_groups
 
-from conftest import random_point, random_poly
+from conftest import random_point, random_poly, random_turn
 
 P = parse_poly
 
@@ -65,6 +68,88 @@ def test_eval_examples():
 def test_eval_arity_mismatch():
     with pytest.raises(InvalidInput):
         eval_at(P("t1*t2"), TorusPoint.of(Fraction(1, 3)))
+
+
+def _mixed_points(rng: random.Random, mu: int, count: int) -> list[TorusPoint]:
+    """Grid points (faces included) and random turns, shuffled together."""
+    pts = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            n = rng.choice([2, 3, 4, 6, 12])
+            pts.append(TorusPoint(tuple(Fraction(rng.randrange(n), n) for _ in range(mu))))
+        else:
+            pts.append(TorusPoint(tuple(random_turn(rng, interior=rng.random() < 0.7) for _ in range(mu))))
+    rng.shuffle(pts)
+    return pts
+
+
+@pytest.mark.parametrize("half_step", [False, True])
+def test_eval_many_equals_eval_at_exactly(rng, half_step):
+    for _ in range(60):
+        mu = rng.randint(1, 4)
+        p = random_poly(rng, mu, max_terms=8, exp_range=(-30, 30), coeff_range=(-10**6, 10**6),
+                        half_step=half_step)
+        pts = _mixed_points(rng, mu, 30)
+        assert any(not pt.is_interior() for pt in pts)
+        values = eval_many(p, pts)
+        assert values.dtype == complex and values.shape == (len(pts),)
+        assert values.tolist() == [eval_at(p, pt) for pt in pts]
+        # np.abs may round complex magnitudes differently; np.hypot is abs
+        assert np.hypot(values.real, values.imag).tolist() == [abs(eval_at(p, pt)) for pt in pts]
+
+
+def test_eval_many_edge_cases():
+    assert eval_many(P("t1 + 1", mu=2), []).shape == (0,)
+    pts = [TorusPoint.of(Fraction(1, 3), 0), TorusPoint.of(Fraction(1, 2), Fraction(1, 5))]
+    assert eval_many(LaurentPoly.zero(2), pts).tolist() == [0j, 0j]
+    huge = P(f"t1^{10**30} - t2^-{10**25}", mu=2)
+    assert eval_many(huge, pts).tolist() == [eval_at(huge, pt) for pt in pts]
+    with pytest.raises(InvalidInput, match="arity mismatch"):
+        eval_many(P("t1*t2"), pts + [TorusPoint.of(Fraction(1, 3))])
+
+
+# common denominators below 2^63 with an int64 overflow risk in the exponent
+# sums, in [2^63, 2^64) (where numpy would pick uint64), and beyond 2^64
+HUGE_DENOMINATOR_POINTS = [
+    TorusPoint.of(Fraction(1, 2**61 + 1), Fraction(1, 2)),
+    TorusPoint.of(Fraction(1, 2**62 + 1), Fraction(1, 3)),
+    TorusPoint.of(Fraction(1, 3), Fraction(1, 2)),
+    TorusPoint.of(Fraction(5, 2**62 + 1), Fraction(2, 3)),
+    TorusPoint.of(Fraction(1, 2**70 + 1), Fraction(2, 7)),
+    TorusPoint.of(0, Fraction(3, 2**62 + 1)),
+]
+
+
+def test_eval_many_huge_denominators(rng):
+    dtypes = {d: nums.dtype for d, _, nums in denominator_groups(HUGE_DENOMINATOR_POINTS)}
+    assert dtypes[3 * (2**62 + 1)] == object and dtypes[7 * (2**70 + 1)] == object
+    assert dtypes[2**62 + 2] == np.int64
+    for half_step in (False, True):
+        for _ in range(10):
+            p = random_poly(rng, 2, max_terms=6, exp_range=(-40, 40), coeff_range=(-100, 100),
+                            half_step=half_step)
+            assert eval_many(p, HUGE_DENOMINATOR_POINTS).tolist() == [
+                eval_at(p, pt) for pt in HUGE_DENOMINATOR_POINTS]
+
+
+def test_eval_rejects_coefficients_beyond_float():
+    p = P(f"{10**400}*t1 - 1", mu=2)
+    pt = TorusPoint.of(Fraction(1, 3), Fraction(1, 5))
+    with pytest.raises(InvalidInput, match="does not fit a float"):
+        eval_at(p, pt)
+    with pytest.raises(InvalidInput, match="does not fit a float"):
+        eval_many(p, [pt])
+
+
+def test_denominator_groups():
+    pts = [TorusPoint.of(Fraction(1, 2), Fraction(1, 3)), TorusPoint.of(0, Fraction(3, 4)),
+           TorusPoint.of(Fraction(5, 6), Fraction(1, 2)), TorusPoint.of(0, 0)]
+    groups = denominator_groups(pts)
+    assert [(d, rows, nums.tolist()) for d, rows, nums in groups] == [
+        (6, [0, 2], [[3, 2], [5, 3]]),
+        (4, [1], [[0, 3]]),
+        (1, [3], [[0, 0]]),
+    ]
 
 
 def test_eval_negative_powers_are_conjugate_powers():
@@ -241,7 +326,7 @@ def test_half_step_conversion():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "t0", "(t1-1)^2", "t1^", "++1", "2**t1"):
+    for bad in ("", "t0", "(t1-1)^2", "t1^", "++1", "2**t1", "1" * 5000 + "*t", "t^" + "1" * 5000, "t" + "1" * 5000):
         with pytest.raises(InvalidInput):
             parse_poly(bad)
 

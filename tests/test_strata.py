@@ -1,5 +1,6 @@
 """Elementary ideals, minor exactness, stratum classification."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,16 +11,18 @@ from linksig.errors import BasePoint, InvalidInput
 from linksig.laurent import LaurentPoly, eq_up_to_units, eval_at, format_poly, parse_poly
 from linksig.strata import (
     FLAG_MORE_THAN_TWO_ONES,
+    FLAG_UNCERTAIN,
     PresentationMatrix,
     first_ideal_gcd,
     presentation_from_dict,
     presentation_to_dict,
     stratum_index,
+    stratum_indices,
     vanishes_at,
 )
 from linksig.torus import TorusPoint
 
-from conftest import random_point, random_poly
+from conftest import random_point, random_poly, random_turn
 
 P = parse_poly
 
@@ -175,3 +178,102 @@ def test_stratum_matches_hermitian_nullity_on_shared_zero_locus():
         rep = stratum_index(pres, pt)
         assert res.certified
         assert rep.predicted_nullity == res.nullity
+
+
+def _reference_stratum(p, pt, tau_poly):
+    """(index, predicted, flags) for one sample from vanishes_at and eval_at."""
+    index, flags = 0, set()
+    for r in range(1, p.m_generators + 1):
+        gens = p.elementary_ideal(r)
+        for g in gens:
+            if not g.is_zero():
+                cut = tau_poly * (1 + g.coefficient_mass())
+                if cut / 16 < abs(eval_at(g, pt)) < cut * 16:
+                    flags.add(FLAG_UNCERTAIN)
+        if not vanishes_at(gens, pt, tau_poly):
+            break
+        index = r
+    if len(pt.unit_coordinates()) > 2:
+        flags.add(FLAG_MORE_THAN_TWO_ONES)
+        return index, None, flags
+    return index, index, flags
+
+
+def _random_presentation(rng, mu):
+    m = rng.randint(1, 3)
+    face = P("t1 - 1", mu=mu)
+    rows = []
+    for _ in range(m + rng.randint(0, 1)):
+        row = [random_poly(rng, mu, max_terms=3, exp_range=(-2, 2), coeff_range=(-3, 3)) for _ in range(m)]
+        if rng.random() < 0.5:  # vanishes on the face omega_1 = 1
+            row = [q * face for q in row]
+        rows.append(row)
+    return PresentationMatrix(mu, rows)
+
+
+def test_stratum_indices_match_per_point_reference():
+    rng = random.Random(7)
+    seen_index, seen_flags = set(), set()
+    for trial in range(16):
+        mu = 2 + trial % 3
+        p = _random_presentation(rng, mu)
+        n = 4 if mu < 4 else 3
+        pts = [TorusPoint(tuple(Fraction(k, n) for k in ks))
+               for ks in np.ndindex(*(n,) * mu) if any(ks)]
+        pts += [TorusPoint(tuple(random_turn(rng, interior=rng.random() < 0.8) for _ in range(mu)))
+                for _ in range(20)]
+        pts = [pt for pt in pts if not pt.is_basepoint()]
+        rng.shuffle(pts)
+        for tau_poly in (1e-8, 0.05, 0.3, 2.0):
+            reports = stratum_indices(p, pts, tau_poly)
+            assert [rep.point for rep in reports] == pts
+            for pt, rep in zip(pts, reports):
+                index, predicted, flags = _reference_stratum(p, pt, tau_poly)
+                assert (rep.index, rep.predicted_nullity, rep.flags) == (index, predicted, flags)
+                seen_index.add(rep.index)
+                seen_flags |= rep.flags
+    # the comparison covered every index, uncertain samples and more than two ones
+    assert seen_index == {0, 1, 2, 3}
+    assert seen_flags == {FLAG_UNCERTAIN, FLAG_MORE_THAN_TWO_ONES}
+
+
+def test_stratum_indices_errors_anywhere_in_the_list():
+    p = two_rows_one_generator()
+    good = [TorusPoint.of(Fraction(1, 2), Fraction(1, 3)), TorusPoint.of(0, Fraction(1, 4))]
+    assert stratum_indices(p, []) == []
+    with pytest.raises(BasePoint):
+        stratum_indices(p, good + [TorusPoint.of(0, 0)] + good)
+    with pytest.raises(InvalidInput, match="point arity 3 != presentation arity 2"):
+        stratum_indices(p, good + [TorusPoint.of(0, 0, Fraction(1, 2))])
+    # the first offending point decides, as a loop over stratum_index would
+    with pytest.raises(InvalidInput, match="point arity"):
+        stratum_indices(p, [TorusPoint.of(Fraction(1, 2)), TorusPoint.of(0, 0)])
+    with pytest.raises(BasePoint):
+        stratum_indices(p, [TorusPoint.of(0, 0), TorusPoint.of(Fraction(1, 2))])
+    with pytest.raises(InvalidInput, match="point arity"):
+        stratum_index(p, TorusPoint.of(Fraction(1, 2)))
+
+
+def test_huge_coefficients_are_invalid_input():
+    big = PresentationMatrix(2, [[P(f"{10**400}*t1 - 1", mu=2)], [P("t2 - 1", mu=2)]])
+    pt = TorusPoint.of(Fraction(1, 3), Fraction(1, 5))
+    with pytest.raises(InvalidInput, match="does not fit a float"):
+        stratum_indices(big, [pt])
+    with pytest.raises(InvalidInput, match="does not fit a float"):
+        vanishes_at(big.elementary_ideal(1), pt)
+
+
+def test_stratum_indices_huge_denominators():
+    face = P("t1 - 1", mu=2)
+    p = PresentationMatrix(2, [[P("t1*t2 - 1", mu=2) * face, P("t2 + 1", mu=2)],
+                               [P("t1^3 - t2", mu=2), P("t1^-2 + 3", mu=2) * face],
+                               [face, P("2*t2 - t1", mu=2)]])
+    pts = [TorusPoint.of(Fraction(1, 2**61 + 1), Fraction(1, 2)),
+           TorusPoint.of(Fraction(1, 2**62 + 1), Fraction(1, 3)),
+           TorusPoint.of(0, Fraction(3, 2**62 + 1)),
+           TorusPoint.of(Fraction(1, 2**70 + 1), Fraction(2, 7)),
+           TorusPoint.of(0, Fraction(1, 2))]
+    for tau_poly in (1e-8, 0.05, 2.0):
+        reports = stratum_indices(p, pts, tau_poly)
+        for pt, rep in zip(pts, reports):
+            assert (rep.index, rep.predicted_nullity, rep.flags) == _reference_stratum(p, pt, tau_poly)
