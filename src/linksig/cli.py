@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -52,8 +53,8 @@ def _write_output(text: str, path: str) -> None:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("tolerances must be positive")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("tolerances must be positive and finite")
     return value
 
 
@@ -113,6 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_sigmap(args) -> int:
     link = load_link(args.link)
     slope_data = load_slope(args.slope) if args.slope else None
+    if args.format == "ppm" and link.mu != 2:
+        raise InvalidInput("ppm heatmaps are defined for two colors")
     points = grid(args.grid, link.mu, include_faces=args.faces)
     records = sample_map(link, points, slope_data, args.tau)
     if args.format == "csv":
@@ -120,8 +123,6 @@ def _cmd_sigmap(args) -> int:
     elif args.format == "json":
         text = records_to_json(records, link.mu)
     else:
-        if link.mu != 2:
-            raise InvalidInput("ppm heatmaps are defined for two colors")
         side_len = args.grid if args.faces else args.grid - 1
         text = records_to_ppm(records, side_len, side_len)
     _write_output(text, args.out)

@@ -234,6 +234,7 @@ def hermitian_with_scale(link: ColoredLinkData, point: TorusPoint) -> tuple[np.n
 
     The scale sum_eps |coeff(eps)| * max|A^eps| bounds every entry; inertia
     thresholds relative to it keep exact cancellations classified as zeros.
+    Entries that overflow come back non-finite, and inertia rejects them.
     hermitian_forms is the batched counterpart.
     """
     if point.mu != link.mu:
@@ -251,12 +252,13 @@ def hermitian_with_scale(link: ColoredLinkData, point: TorusPoint) -> tuple[np.n
         f_plus.append(1.0 - unit_root(t.numerator, t.denominator))
         f_minus.append(1.0 - unit_root(q.numerator, q.denominator))
     stack, amaxes = _seifert_arrays(link)
-    for eps, a, amax in zip(sign_vectors(link.mu), stack, amaxes.tolist()):
-        c = complex(1.0, 0.0)
-        for i, e in enumerate(eps):
-            c *= f_plus[i] if e > 0 else f_minus[i]
-        h += c * a
-        scale += abs(c) * amax
+    with np.errstate(over="ignore", invalid="ignore"):
+        for eps, a, amax in zip(sign_vectors(link.mu), stack, amaxes.tolist()):
+            c = complex(1.0, 0.0)
+            for i, e in enumerate(eps):
+                c *= f_plus[i] if e > 0 else f_minus[i]
+            h += c * a
+            scale += abs(c) * amax
     return h, scale
 
 
@@ -288,11 +290,10 @@ def slope_matrix_at(slope_data: SlopeData, point: TorusPoint) -> np.ndarray:
     ones = point.unit_coordinates()
     if ones:
         raise CoordinateOne(f"slope matrix undefined: coordinate(s) {ones} equal 1")
-    g = base.g
-    e_mat = np.zeros((g, g), dtype=np.complex128)
-    for eps in sign_vectors(base.mu):
-        inv = 1.0 / _coefficient(point, eps, conjugated=False)
-        e_mat += inv * np.array(base.seifert_matrix(eps), dtype=np.float64).reshape(g, g)
+    stack, _ = _seifert_arrays(base)
+    e_mat = np.zeros(stack.shape[1:], dtype=np.complex128)
+    for eps, a in zip(sign_vectors(base.mu), stack):
+        e_mat += (1.0 / _coefficient(point, eps, conjugated=False)) * a
     return e_mat
 
 

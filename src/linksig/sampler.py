@@ -17,7 +17,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .clink import ColoredLinkData, SlopeData, hermitian_forms, hermitian_with_scale, seifert_coefficients
@@ -26,7 +26,7 @@ from .hermitian import DEFAULT_TAU, inertia, inertia_many
 from .invariants import face_parts, signature_at_full_one
 from .laurent import LaurentPoly, eval_at
 from .strata import DEFAULT_TAU_POLY
-from .torus import TorusPoint
+from .torus import TorusPoint, lattice
 
 SOURCE_INTERIOR = "Interior"
 SOURCE_FACE = "Face"
@@ -74,9 +74,7 @@ def grid(n: int, mu: int, include_faces: bool = False) -> Iterator[TorusPoint]:
     """All points with turns k_j/n; faces (some k_j = 0) only on request."""
     if n < 2:
         raise InvalidInput("grid needs n >= 2")
-    start = 0 if include_faces else 1
-    for ks in product(range(start, n), repeat=mu):
-        yield TorusPoint(tuple(Fraction(k, n) for k in ks))
+    yield from lattice(n, mu, 0 if include_faces else 1)
 
 
 def tbang_points(p: int, d: int, mu: int) -> Iterator[TorusPoint]:
@@ -87,9 +85,7 @@ def tbang_points(p: int, d: int, mu: int) -> Iterator[TorusPoint]:
     """
     if d < 1 or p < 2 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
         raise InvalidInput("need a prime p and depth d >= 1")
-    order = p**d
-    for ks in product(range(order), repeat=mu):
-        yield TorusPoint(tuple(Fraction(k, order) for k in ks))
+    yield from lattice(p**d, mu)
 
 
 def _evaluate_point(link: ColoredLinkData, slope_data: SlopeData | None,

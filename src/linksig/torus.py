@@ -5,7 +5,9 @@ Keeping the turns as exact fractions makes face detection (omega_j = 1) a
 matter of q_j == 0, never a floating comparison, and lets evaluation reduce
 angles mod 1 exactly before any float enters the picture.
 
-Batched evaluation groups points by the common denominator d of their turns
+Lattices of points (lattice) share one table of turns k/n: the points are
+assembled from the table without normalising each turn again.  Batched
+evaluation groups points by the common denominator d of their turns
 (denominator_groups) and reads unit_root(k, d) for integer arrays of k from
 a table of the distinct k (unit_roots).
 """
@@ -16,7 +18,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import product
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -115,7 +118,7 @@ class TorusPoint:
         return all(q == 0 for q in self.turns)
 
     def conjugate(self) -> "TorusPoint":
-        return TorusPoint(tuple((-q) % 1 for q in self.turns))
+        return _normalized_point(tuple((-q) % 1 for q in self.turns))
 
     def drop(self, color: int) -> "TorusPoint":
         """The point with the given color's coordinate removed."""
@@ -123,13 +126,32 @@ class TorusPoint:
             raise InvalidInput(f"color {color} out of range")
         if self.mu == 1:
             raise InvalidInput("cannot drop the only coordinate")
-        return TorusPoint(tuple(q for i, q in enumerate(self.turns) if i + 1 != color))
+        return _normalized_point(tuple(q for i, q in enumerate(self.turns) if i + 1 != color))
 
     def turn_strings(self) -> tuple[str, ...]:
         return tuple(str(q) for q in self.turns)
 
     def __str__(self) -> str:
         return "(" + ", ".join(self.turn_strings()) + ")"
+
+
+def _normalized_point(turns: tuple[Fraction, ...]) -> TorusPoint:
+    # turns already Fractions in [0, 1): skip __post_init__'s normalisation
+    pt = object.__new__(TorusPoint)
+    object.__setattr__(pt, "turns", turns)
+    return pt
+
+
+def lattice(n: int, mu: int, start: int = 0) -> Iterator[TorusPoint]:
+    """All points with turns k_j/n, start <= k_j < n, lexicographic in (k_1, ..., k_mu).
+
+    Each turn Fraction(k, n) is built once and shared by every point holding
+    it.
+    """
+    if mu < 1:
+        raise InvalidInput("a torus point needs at least one coordinate")
+    for turns in product([Fraction(k, n) for k in range(start, n)], repeat=mu):
+        yield _normalized_point(turns)
 
 
 def denominator_groups(points: Sequence[TorusPoint]) -> list[tuple[int, list[int], np.ndarray]]:

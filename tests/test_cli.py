@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import linksig.cli
 from linksig.catalog import get
 from linksig.cli import main
 from linksig.clink import load_link, slope_from_dict
@@ -189,3 +192,47 @@ def test_uncertain_samples_exit_3(tmp_path):
     with open(out, encoding="utf-8") as fh:
         rows = fh.read().strip().split("\n")
     assert rows[1].endswith("false")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--tau", "nan", "sigmap", "LINK", "--grid", "3"],
+    ["--tau", "inf", "sigmap", "LINK", "--grid", "3"],
+    ["--tau-poly", "nan", "ideals", "PRES", "--omega", "1/2,1/3,1/4,1/5"],
+    ["--tau-poly", "inf", "ideals", "PRES", "--omega", "1/2,1/3,1/4,1/5"],
+    ["--tau-poly=-inf", "ideals", "PRES", "--classify", "--grid", "2"],
+])
+def test_nonfinite_tolerances_exit_2(exported, argv, capsys):
+    assert main(["catalog", "show", "aug4", "--export", str(exported["dir"])]) == 0
+    paths = {"LINK": exported["link"], "PRES": str(exported["dir"] / "aug4.presentation.json")}
+    with pytest.raises(SystemExit) as exc:
+        main([paths.get(a, a) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "positive and finite" in captured.err
+
+
+def test_sigmap_overflow_keeps_stderr_empty(tmp_path):
+    link = get("l(1)").link
+    huge = {eps: [[5 * 10**307 * x for x in row] for row in m] for eps, m in link.seifert.items()}
+    data = linksig.clink.link_to_dict(link)
+    data["seifert"] = {linksig.clink.sign_key(eps): m for eps, m in huge.items()}
+    path = tmp_path / "huge.link.json"
+    path.write_text(json.dumps(data))
+    src = os.path.dirname(os.path.dirname(linksig.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "linksig.cli", "sigmap", str(path), "--grid", "4"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    rows = proc.stdout.splitlines()[1:]
+    assert len(rows) == 27 and all(row.endswith(",NA,NA,Skipped,false") for row in rows)
+
+
+def test_sigmap_ppm_rejects_arity_before_sweeping(exported, monkeypatch, capsys):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sample_map must not run")
+
+    monkeypatch.setattr(linksig.cli, "sample_map", no_sweep)
+    assert main(["sigmap", exported["link"], "--grid", "3", "--format", "ppm"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "two colors" in captured.err

@@ -9,6 +9,7 @@ from linksig.catalog import get, list_keys
 from linksig.clink import (
     ColoredLinkData,
     SlopeData,
+    _coefficient,
     hermitian_at,
     hermitian_with_scale,
     link_from_dict,
@@ -206,6 +207,24 @@ def test_slope_matrix_displayed_entries():
     assert np.allclose(e, expected, atol=1e-12)
     # Hermitian by the completion rule
     assert np.allclose(e, e.conj().T, atol=1e-12)
+
+
+def test_slope_matrix_reads_cached_arrays_bit_identically(rng):
+    # the former formula, which rebuilt each A^eps from the integer matrix
+    def rebuilt(sd, pt):
+        g = sd.base.g
+        e_mat = np.zeros((g, g), dtype=np.complex128)
+        for eps in sign_vectors(sd.base.mu):
+            inv = 1.0 / _coefficient(pt, eps, conjugated=False)
+            e_mat += inv * np.array(sd.base.seifert_matrix(eps), dtype=np.float64).reshape(g, g)
+        return e_mat
+
+    slopes = [e.slope for e in full_entries() if e.slope is not None]
+    assert slopes
+    for sd in slopes:
+        for _ in range(30):
+            pt = random_point(rng, sd.base.mu)
+            assert (slope_matrix_at(sd, pt) == rebuilt(sd, pt)).all()
 
 
 def test_slope_matrix_corner_cases():
