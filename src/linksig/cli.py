@@ -35,7 +35,7 @@ from .sampler import (
     sample_map,
 )
 from .strata import DEFAULT_TAU_POLY, load_presentation, save_presentation, stratum_indices
-from .torus import TorusPoint
+from .torus import TorusPoint, turn_formatter
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -170,11 +170,12 @@ def _cmd_ideals(args) -> int:
         points = [TorusPoint.from_string(args.omega)]
     else:
         points = [pt for pt in grid(args.grid, pres.mu, include_faces=True) if not pt.is_basepoint()]
+    turn_strings = turn_formatter()
     for rep in stratum_indices(pres, points, args.tau_poly):
         predicted = "NA" if rep.predicted_nullity is None else str(rep.predicted_nullity)
         flags = "|".join(sorted(rep.flags))
         uncertain = uncertain or "Uncertain" in rep.flags
-        lines.append(",".join(list(rep.point.turn_strings()) + [str(rep.index), predicted, flags]))
+        lines.append(",".join(turn_strings(rep.point) + [str(rep.index), predicted, flags]))
     _write_output("\n".join(lines) + "\n", args.out)
     return EXIT_UNCERTAIN if uncertain else EXIT_OK
 

@@ -3,8 +3,10 @@
 Points are generated in deterministic lexicographic order and records come
 back in the order of the points.  Interior points are evaluated in chunks:
 one coefficient array per chunk, one einsum for the Hermitian forms and one
-batched eigvalsh call.  A coordinate counts as 1 iff its stored rational
-turn is 0 - never by float comparison.
+batched eigvalsh call.  A grid or root lattice is chunked by slicing, so a
+chunk's integer numerators k (turns k/n) come from index arithmetic.  A
+coordinate counts as 1 iff its stored rational turn is 0 (numerator 0) -
+never by float comparison.
 
 Faces are computable in two cases: one color (omega = 1 via the framed
 linking matrix) and, for more colors, exactly one coordinate equal to 1 with
@@ -15,18 +17,21 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .clink import ColoredLinkData, SlopeData, hermitian_forms, hermitian_with_scale, seifert_coefficients
 from .errors import InvalidInput, LinksigError, MissingSeifertData
 from .hermitian import DEFAULT_TAU, inertia, inertia_many
 from .invariants import face_parts, signature_at_full_one
-from .laurent import LaurentPoly, eval_at
+from .laurent import LaurentPoly, eval_many
 from .strata import DEFAULT_TAU_POLY
-from .torus import TorusPoint, lattice
+from .torus import Lattice, TorusPoint, lattice, turn_formatter
 
 SOURCE_INTERIOR = "Interior"
 SOURCE_FACE = "Face"
@@ -70,22 +75,27 @@ class ConcordanceReport:
     uncertain: int
 
 
-def grid(n: int, mu: int, include_faces: bool = False) -> Iterator[TorusPoint]:
+def grid(n: int, mu: int, include_faces: bool = False) -> Lattice:
     """All points with turns k_j/n; faces (some k_j = 0) only on request."""
     if n < 2:
         raise InvalidInput("grid needs n >= 2")
-    yield from lattice(n, mu, 0 if include_faces else 1)
+    return lattice(n, mu, 0 if include_faces else 1)
 
 
-def tbang_points(p: int, d: int, mu: int) -> Iterator[TorusPoint]:
+def tbang_points(p: int, d: int, mu: int) -> Lattice:
     """All points whose coordinates are p^d-th roots of unity.
 
     Every such point avoids the zeros of integer polynomials taking the value
     +-1 at (1,...,1), so signatures there obstruct concordance.
     """
-    if d < 1 or p < 2 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
+    if d < 1 or p < 2:
         raise InvalidInput("need a prime p and depth d >= 1")
-    yield from lattice(p**d, mu)
+    if d * mu >= 64:  # at least 2^64 points; p^d is not built
+        raise InvalidInput(f"lattice too large: more than {sys.maxsize} points")
+    points = lattice(p**d, mu)  # refuses more than sys.maxsize points, before the trial division
+    if any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
+        raise InvalidInput("need a prime p and depth d >= 1")
+    return points
 
 
 def _evaluate_point(link: ColoredLinkData, slope_data: SlopeData | None,
@@ -112,24 +122,25 @@ def _evaluate_point(link: ColoredLinkData, slope_data: SlopeData | None,
 
 
 def _evaluate_chunk(link: ColoredLinkData, slope_data: SlopeData | None,
-                    chunk: list[TorusPoint], tau: float) -> list[SampleRecord]:
+                    chunk: Sequence[TorusPoint], tau: float) -> list[SampleRecord]:
     # interior points in one batch; the rest, and any form the batch cannot
     # classify, through _evaluate_point
-    records: list[SampleRecord | None] = [None] * len(chunk)
-    interior = []
-    for i, pt in enumerate(chunk):
-        if pt.mu == link.mu and all(pt.turns):
-            interior.append(i)
-        else:
-            records[i] = _evaluate_point(link, slope_data, pt, tau)
+    points = list(chunk)
+    by_numerators = isinstance(chunk, Lattice)
+    if by_numerators:
+        interior = np.flatnonzero(chunk.numerators().all(axis=1)).tolist() if chunk.mu == link.mu else []
+    else:
+        interior = [i for i, pt in enumerate(points) if pt.mu == link.mu and all(pt.turns)]
+    records: list[SampleRecord | None] = [None] * len(points)
     if interior:
-        coef = seifert_coefficients(link.mu, [chunk[i] for i in interior])
+        coef = (seifert_coefficients(link.mu, chunk)[interior] if by_numerators
+                else seifert_coefficients(link.mu, [points[i] for i in interior]))
         h, scale = hermitian_forms(link, coef)
         results = zip(interior, *(col.tolist() for col in inertia_many(h, scale, tau)))
         for i, sigma, eta, certified, ok in results:
-            records[i] = (SampleRecord(chunk[i], sigma, eta, SOURCE_INTERIOR, certified) if ok
-                          else _evaluate_point(link, slope_data, chunk[i], tau))
-    return records
+            if ok:
+                records[i] = SampleRecord(points[i], sigma, eta, SOURCE_INTERIOR, certified)
+    return [rec or _evaluate_point(link, slope_data, pt, tau) for pt, rec in zip(points, records)]
 
 
 def sample_map(link: ColoredLinkData, points: Iterable[TorusPoint],
@@ -138,10 +149,11 @@ def sample_map(link: ColoredLinkData, points: Iterable[TorusPoint],
     if not link.has_seifert():
         raise MissingSeifertData(f"link {link.name!r} has no Seifert data; nothing to sample")
     size = max(1, min(_CHUNK_POINTS, _CHUNK_ENTRIES // max(1, link.g ** 2)))
-    it = iter(points)
+    if not isinstance(points, Sequence):
+        points = list(points)
     records = []
-    while chunk := list(islice(it, size)):
-        records += _evaluate_chunk(link, slope_data, chunk, tau)
+    for b in range(0, len(points), size):
+        records += _evaluate_chunk(link, slope_data, points[b:b + size], tau)
     return records
 
 
@@ -188,19 +200,16 @@ def constancy_check(link: ColoredLinkData, hosokawa_poly: LaurentPoly, n: int,
     if hosokawa_poly.mu != link.mu:
         raise InvalidInput("polynomial arity does not match the link")
     mu1 = link.mu == 1
-    points = list(grid(n, link.mu, include_faces=mu1))
-    records = sample_map(link, points, None, tau)
+    records = sample_map(link, grid(n, link.mu, include_faces=mu1), None, tau)
     by_point = {rec.point: rec for rec in records}
     mass = 1 + hosokawa_poly.coefficient_mass()
     cut = 10 * tau_poly * mass
 
-    def nonzero(pt: TorusPoint) -> bool:
-        return abs(eval_at(hosokawa_poly, pt)) > cut
-
-    violations = []
+    # the certified neighbouring pairs whose signatures differ
+    pairs = []
     seen = set()
-    for pt in points:
-        for a, b in _axis_neighbors(pt, n, mu1):
+    for rec in records:
+        for a, b in _axis_neighbors(rec.point, n, mu1):
             key = (a, b) if a.turns <= b.turns else (b, a)
             if key in seen:
                 continue
@@ -210,11 +219,20 @@ def constancy_check(link: ColoredLinkData, hosokawa_poly: LaurentPoly, n: int,
                 continue
             if ra.sigma is None or rb.sigma is None or not (ra.certified and rb.certified):
                 continue
-            if not (nonzero(a) and nonzero(b) and nonzero(_midpoint(a, b))):
-                continue
             if ra.sigma != rb.sigma:
-                violations.append(ConstancyViolation(a, b, ra.sigma, rb.sigma))
-    return violations
+                pairs.append((ra, rb))
+    if not pairs:
+        return []
+
+    def nonzero(points: list[TorusPoint]) -> list[bool]:
+        z = eval_many(hosokawa_poly, points)
+        return (np.hypot(z.real, z.imag) > cut).tolist()  # abs(complex) bit for bit
+
+    nodes = list({pt: None for ra, rb in pairs for pt in (ra.point, rb.point)})
+    node_ok = dict(zip(nodes, nonzero(nodes)))
+    mid_ok = nonzero([_midpoint(ra.point, rb.point) for ra, rb in pairs])
+    return [ConstancyViolation(ra.point, rb.point, ra.sigma, rb.sigma)
+            for (ra, rb), ok in zip(pairs, mid_ok) if ok and node_ok[ra.point] and node_ok[rb.point]]
 
 
 def concordance_report(link: ColoredLinkData, slope_data: SlopeData | None,
@@ -247,21 +265,23 @@ def records_to_csv(records: list[SampleRecord], mu: int) -> str:
     out = io.StringIO()
     out.write(",".join([f"q{i}" for i in range(1, mu + 1)] + ["sigma", "eta", "source", "certified"]))
     out.write("\n")
+    turn_strings = turn_formatter()
     for rec in records:
         sigma = "NA" if rec.sigma is None else str(rec.sigma)
         eta = "NA" if rec.eta is None else str(rec.eta)
         cert = "true" if rec.certified else "false"
-        out.write(",".join(list(rec.point.turn_strings()) + [sigma, eta, rec.source, cert]))
+        out.write(",".join(turn_strings(rec.point) + [sigma, eta, rec.source, cert]))
         out.write("\n")
     return out.getvalue()
 
 
 def records_to_json(records: list[SampleRecord], mu: int) -> str:
+    turn_strings = turn_formatter()
     payload = {
         "mu": mu,
         "records": [
             {
-                "turns": list(rec.point.turn_strings()),
+                "turns": turn_strings(rec.point),
                 "sigma": rec.sigma,
                 "eta": rec.eta,
                 "source": rec.source,

@@ -5,21 +5,25 @@ Keeping the turns as exact fractions makes face detection (omega_j = 1) a
 matter of q_j == 0, never a floating comparison, and lets evaluation reduce
 angles mod 1 exactly before any float enters the picture.
 
-Lattices of points (lattice) share one table of turns k/n: the points are
-assembled from the table without normalising each turn again.  Batched
-evaluation groups points by the common denominator d of their turns
-(denominator_groups) and reads unit_root(k, d) for integer arrays of k from
-a table of the distinct k (unit_roots).
+A lattice of points (Lattice: every turn k/n for one n) is a sequence that
+knows its denominator: the integer numerators k of any slice of it come from
+index arithmetic, and its points are assembled from shared turns k/n without
+normalising each turn again.  Batched evaluation groups points by the common
+denominator d of their turns (denominator_groups; a lattice is one group)
+and reads unit_root(k, d) for integer arrays of k from a table of the
+distinct k (unit_roots).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import re
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from typing import Iterator, Sequence
+from itertools import chain, product
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,6 +72,30 @@ def unit_roots(ks: np.ndarray, den: int) -> np.ndarray:
     return table[inv.reshape(ks.shape)]
 
 
+# Python's default limit on int-from-string conversion, which parse_poly enforces too
+_MAX_TURN_DIGITS = 4300
+_EXPONENT_RE = re.compile(r"e[-+]?(\d+(?:_\d+)*)$", re.IGNORECASE)
+
+
+def _parse_turn(text: str) -> Fraction:
+    """Fraction(text), refusing a turn whose integers would have more than
+    _MAX_TURN_DIGITS digits: an exponent like 1e10000000 would otherwise
+    take seconds (or, larger, forever) to build."""
+    m = _EXPONENT_RE.search(text)
+    digits = sum(ch.isdigit() for ch in (text[:m.start()] if m else text))
+    if m:
+        exponent = m.group(1).replace("_", "").lstrip("0")
+        digits += int(exponent or 0) if len(exponent) < 10 else math.inf
+    if digits > _MAX_TURN_DIGITS:
+        raise InvalidInput(f"turn {_excerpt(text)!r} needs more than {_MAX_TURN_DIGITS} digits")
+    return Fraction(text)
+
+
+def _excerpt(text: str, limit: int = 60) -> str:
+    """text, or its start and length when longer than limit, for one-line messages."""
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+
+
 @dataclass(frozen=True)
 class TorusPoint:
     """A point of T^mu given by exact rational turns, one per color."""
@@ -86,14 +114,14 @@ class TorusPoint:
 
     @classmethod
     def from_string(cls, text: str) -> "TorusPoint":
-        """Parse comma-separated turns, e.g. "0,1/4,1/4"."""
+        """Parse comma-separated turns, e.g. "0,1/4,1/4" or "2.5e-1"."""
         parts = [p.strip() for p in text.split(",") if p.strip() != ""]
         if not parts:
-            raise InvalidInput(f"no turns in {text!r}")
+            raise InvalidInput(f"no turns in {_excerpt(text)!r}")
         try:
-            return cls(tuple(Fraction(p) for p in parts))
+            return cls(tuple(_parse_turn(p) for p in parts))
         except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidInput(f"bad turn in {text!r}: {exc}") from exc
+            raise InvalidInput(f"bad turn in {_excerpt(text)!r}: {_excerpt(str(exc))}") from exc
 
     @property
     def mu(self) -> int:
@@ -135,6 +163,29 @@ class TorusPoint:
         return "(" + ", ".join(self.turn_strings()) + ")"
 
 
+def turn_formatter() -> Callable[[TorusPoint], list[str]]:
+    """point -> the strings of its turns, as turn_strings, formatting each
+    distinct turn object once.
+
+    The points of a lattice share their turn objects, so one output of a
+    lattice formats each turn k/n once.  Turns are keyed by object id, and
+    every key's object is kept alive, so no id is reused while the formatter
+    lives.
+    """
+    strings: dict[int, str] = {}
+    kept: list[Fraction] = []
+
+    def new(q: Fraction) -> str:
+        kept.append(q)
+        strings[id(q)] = text = str(q)
+        return text
+
+    def format_turns(point: TorusPoint) -> list[str]:
+        return [strings.get(id(q)) or new(q) for q in point.turns]
+
+    return format_turns
+
+
 def _normalized_point(turns: tuple[Fraction, ...]) -> TorusPoint:
     # turns already Fractions in [0, 1): skip __post_init__'s normalisation
     pt = object.__new__(TorusPoint)
@@ -142,27 +193,107 @@ def _normalized_point(turns: tuple[Fraction, ...]) -> TorusPoint:
     return pt
 
 
-def lattice(n: int, mu: int, start: int = 0) -> Iterator[TorusPoint]:
-    """All points with turns k_j/n, start <= k_j < n, lexicographic in (k_1, ..., k_mu).
+# Lattice slices are iterated this many points at a time, so that iterating a
+# large one holds the numerators of one block at a time.
+_ITER_BLOCK = 4096
 
-    Each turn Fraction(k, n) is built once and shared by every point holding
-    it.
+
+@dataclass(frozen=True)
+class Lattice(Sequence[TorusPoint]):
+    """The points with turns k_j/n, start <= k_j < n, lexicographic in (k_1, ..., k_mu).
+
+    indices selects positions of the whole lattice (None: all of them);
+    indexing with a slice gives the Lattice of those positions.  numerators()
+    gives the integer k_j of the selected points from index arithmetic,
+    without building a point or a Fraction.  A lattice has at most
+    sys.maxsize points, the most a sequence can count.
     """
-    if mu < 1:
-        raise InvalidInput("a torus point needs at least one coordinate")
-    for turns in product([Fraction(k, n) for k in range(start, n)], repeat=mu):
-        yield _normalized_point(turns)
+
+    n: int
+    mu: int
+    start: int = 0
+    indices: range | None = None
+    # Fraction(k, n) by k, shared with every slice: each turn is built once
+    _turns: dict[int, Fraction] = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.mu < 1:
+            raise InvalidInput("a torus point needs at least one coordinate")
+        if not 0 <= self.start <= self.n:
+            raise InvalidInput(f"lattice start {self.start} outside [0, {self.n}]")
+        if (self.n - self.start) ** self.mu > sys.maxsize:
+            raise InvalidInput(f"lattice too large: more than {sys.maxsize} points")
+        if self.indices is None:
+            object.__setattr__(self, "indices", self._whole())
+
+    def _whole(self) -> range:
+        return range((self.n - self.start) ** self.mu)
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Lattice(self.n, self.mu, self.start, self.indices[i], self._turns)
+        return _normalized_point(tuple(self._turn(k) for k in self._digits(self.indices[i])))
+
+    def _digits(self, flat: int) -> list[int]:
+        # (k_1, ..., k_mu) of the point at a position of the whole lattice
+        ks = []
+        for _ in range(self.mu):
+            flat, k = divmod(flat, self.n - self.start)
+            ks.append(k + self.start)
+        return ks[::-1]
+
+    def _turn(self, k: int) -> Fraction:
+        q = self._turns.get(k)
+        if q is None:
+            q = self._turns[k] = Fraction(k, self.n)
+        return q
+
+    def __iter__(self) -> Iterator[TorusPoint]:
+        if self.indices == self._whole():  # one product over the shared turn table
+            table = [self._turn(k) for k in range(self.start, self.n)]
+            return map(_normalized_point, product(table, repeat=self.mu))
+        return chain.from_iterable(self[b:b + _ITER_BLOCK]._points()
+                                   for b in range(0, len(self), _ITER_BLOCK))
+
+    def _points(self) -> Iterator[TorusPoint]:
+        ks = self.numerators()
+        keys, inv = np.unique(ks, return_inverse=True)
+        turns = np.array([self._turn(int(k)) for k in keys], dtype=object)
+        return map(_normalized_point, map(tuple, turns[inv.reshape(ks.shape)].tolist()))
+
+    def numerators(self) -> np.ndarray:
+        """The (P, mu) array of k_j, int64 for n < 2^63 and Python ints beyond."""
+        r = self.indices
+        dtype = np.int64 if self.n < 1 << 63 else object
+        if not r:
+            return np.zeros((0, self.mu), dtype=dtype)
+        flat = np.arange(r.start, r.stop, r.step, dtype=np.intp)
+        ks = np.unravel_index(flat, (self.n - self.start,) * self.mu)
+        return np.stack(ks, axis=1).astype(dtype) + self.start
 
 
-def denominator_groups(points: Sequence[TorusPoint]) -> list[tuple[int, list[int], np.ndarray]]:
+def lattice(n: int, mu: int, start: int = 0) -> Lattice:
+    """All points with turns k_j/n, start <= k_j < n, lexicographic in (k_1, ..., k_mu)."""
+    return Lattice(n, mu, start)
+
+
+def denominator_groups(points: Sequence[TorusPoint]) -> list[tuple[int, Sequence[int], np.ndarray]]:
     """The points grouped by the common denominator d of their turns.
 
     One (d, rows, nums) triple per d, in order of first appearance: rows
     index the group's points in the sequence, and nums[i, j] / d is turn j of
     points[rows[i]], an integer array: int64 for d < 2^63 (numerators lie in
     [0, d)), Python ints in an object array beyond.  The points must share one
-    arity.
+    arity.  A Lattice (or a slice of one) with n < 2^63 is the single group
+    (n, rows, numerators()): its numerators come from index arithmetic, and
+    every consumer reduces k/n to lowest terms (unit_root), so the values are
+    those of the per-point grouping.
     """
+    if isinstance(points, Lattice) and points.n < 1 << 63:
+        return [(points.n, np.arange(len(points)), points.numerators())] if len(points) else []
     groups: dict[int, list[int]] = {}
     for row, pt in enumerate(points):
         groups.setdefault(math.lcm(*(q.denominator for q in pt.turns)), []).append(row)

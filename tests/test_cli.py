@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -140,6 +141,36 @@ def test_ideals_commands(tmp_path, capsys):
     rows = capsys.readouterr().out.strip().split("\n")[1:]
     assert len(rows) == 2**4 - 1  # base point excluded
     assert all(row.split(",")[4] == "1" for row in rows)
+
+
+def test_huge_turn_exponents_exit_2_at_once(exported, tmp_path, capsys):
+    assert main(["catalog", "show", "aug4", "--export", str(tmp_path)]) == 0
+    capsys.readouterr()
+    presentation = str(tmp_path / "aug4.presentation.json")
+    long_turn = "1" * 100_000
+    for argv in (["slope", exported["slope"], "--omega", "1e10000000,1/2"],
+                 ["slope", exported["slope"], "--omega", f"1/2,1e-{10**100}"],
+                 ["ideals", presentation, "--omega", f"1/3,1/5,1/7,{long_turn}"]):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "more than 4300 digits" in err and len(err) < 200
+
+
+def test_oversized_lattices_exit_2_at_once(exported, tmp_path, capsys):
+    assert main(["catalog", "show", "aug4", "--export", str(tmp_path)]) == 0
+    assert main(["catalog", "show", "t24", "--export", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for argv in (["sigmap", str(tmp_path / "t24.link.json"), "--grid", "10000000000"],
+                 ["ideals", str(tmp_path / "aug4.presentation.json"), "--classify", "--grid", "3100000000"],
+                 ["report", exported["link"], "--prime", "2", "--depth", "64"],
+                 ["report", exported["link"], "--prime", "3", "--depth", str(10**12)]):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "too large" in err and "Traceback" not in err
 
 
 def test_invalid_inputs_exit_2(tmp_path, capsys):

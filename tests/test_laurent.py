@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from linksig.clink import seifert_coefficients
 from linksig.errors import InvalidInput, NotDivisible
 from linksig.laurent import (
     LaurentPoly,
@@ -22,7 +23,9 @@ from linksig.laurent import (
     to_half_step,
     unit_normalize,
 )
-from linksig.torus import TorusPoint, denominator_groups
+from linksig.sampler import tbang_points
+from linksig.strata import PresentationMatrix, stratum_indices
+from linksig.torus import TorusPoint, denominator_groups, lattice
 
 from conftest import random_point, random_poly, random_turn
 
@@ -130,6 +133,55 @@ def test_eval_many_huge_denominators(rng):
                             half_step=half_step)
             assert eval_many(p, HUGE_DENOMINATOR_POINTS).tolist() == [
                 eval_at(p, pt) for pt in HUGE_DENOMINATOR_POINTS]
+
+
+def _strata_fields(reports):
+    return [(rep.point, rep.index, rep.predicted_nullity, rep.flags) for rep in reports]
+
+
+@pytest.mark.parametrize("mu", [1, 2, 3])
+def test_lattice_batches_equal_the_list_path(rng, mu):
+    # turns k/8: faces and reduced denominators 1, 2, 4 and 8 in one lattice
+    whole = tbang_points(2, 3, mu)
+    face = P("t1 - 1", mu=mu)
+    for points in (whole, whole[len(whole) // 3:len(whole) // 3 + 37], whole[::-5]):
+        listed = list(points)
+        assert seifert_coefficients(mu, points).tolist() == seifert_coefficients(mu, listed).tolist()
+        for half_step in (False, True):
+            for _ in range(4):
+                p = random_poly(rng, mu, max_terms=5, exp_range=(-9, 9), half_step=half_step)
+                assert eval_many(p, points).tolist() == eval_many(p, listed).tolist()
+                assert eval_many(p, points).tolist() == [eval_at(p, pt) for pt in listed]
+        rows = [[random_poly(rng, mu, max_terms=3, exp_range=(-2, 2), nonzero=True) * face
+                 for _ in range(2)] for _ in range(2)]
+        rows.append([random_poly(rng, mu, max_terms=3, exp_range=(-2, 2)) for _ in range(2)])
+        pres = PresentationMatrix(mu, rows)
+        pointed = points[1:] if points[0].is_basepoint() else points
+        for tau_poly in (1e-8, 0.3):
+            assert _strata_fields(stratum_indices(pres, pointed, tau_poly)) == \
+                _strata_fields(stratum_indices(pres, list(pointed), tau_poly))
+
+
+def test_lattice_batches_with_huge_denominators(rng):
+    cases = [
+        (lattice(2**64, 1, 2**64 - 8)[:5], object),  # n = 2^64: the per-point grouping
+        (lattice(2**64, 2, 2**64 - 4)[-9:], object),  # reduced denominators 2^62, 2^63, 2^64
+        (lattice(2**31 + 1, 2, 1)[-3:], np.int64),  # 2^62 points
+        (lattice(3 * (2**61 + 1), 1)[7:10], np.int64),
+        (lattice(3 * (2**61 + 1), 1)[-3:], np.int64),
+    ]
+    for points, dtype in cases:
+        listed = list(points)
+        nums = points.numerators()
+        assert nums.dtype == dtype
+        assert nums.tolist() == [[int(q * points.n) for q in pt.turns] for pt in listed]
+        assert seifert_coefficients(points.mu, points).tolist() == \
+            seifert_coefficients(points.mu, listed).tolist()
+        for half_step in (False, True):
+            for _ in range(4):
+                p = random_poly(rng, points.mu, max_terms=5, exp_range=(-40, 40),
+                                coeff_range=(-100, 100), half_step=half_step)
+                assert eval_many(p, points).tolist() == [eval_at(p, pt) for pt in listed]
 
 
 def test_eval_rejects_coefficients_beyond_float():

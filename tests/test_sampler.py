@@ -8,10 +8,14 @@ import pytest
 from linksig.catalog import get, ln_face_sigma, t24_sigma
 from linksig.clink import ColoredLinkData
 from linksig.errors import InvalidInput
+from linksig.laurent import LaurentPoly, eval_at, parse_poly
 from linksig.sampler import (
     SOURCE_FACE,
     SOURCE_INTERIOR,
     SOURCE_SKIPPED,
+    ConstancyViolation,
+    _axis_neighbors,
+    _midpoint,
     concordance_report,
     constancy_check,
     grid,
@@ -131,6 +135,39 @@ def test_constancy_flags_fabricated_jump():
 
     violations = constancy_check(t24.link, LaurentPoly.const(1, 2), 16)
     assert violations, "sign changes with a zero-free polynomial must be flagged"
+
+
+def _reference_constancy(link, poly, n, tau_poly=1e-8):
+    # the per-pair evaluation: every node and midpoint through eval_at
+    mu1 = link.mu == 1
+    points = list(grid(n, link.mu, include_faces=mu1))
+    by_point = {rec.point: rec for rec in sample_map(link, points)}
+    cut = 10 * tau_poly * (1 + poly.coefficient_mass())
+    violations, seen = [], set()
+    for pt in points:
+        for a, b in _axis_neighbors(pt, n, mu1):
+            key = (a, b) if a.turns <= b.turns else (b, a)
+            if key in seen:
+                continue
+            seen.add(key)
+            ra, rb = by_point.get(a), by_point.get(b)
+            if ra is None or rb is None or ra.sigma is None or rb.sigma is None:
+                continue
+            if not (ra.certified and rb.certified):
+                continue
+            if all(abs(eval_at(poly, q)) > cut for q in (a, b, _midpoint(a, b))) and ra.sigma != rb.sigma:
+                violations.append(ConstancyViolation(a, b, ra.sigma, rb.sigma))
+    return violations
+
+
+@pytest.mark.parametrize("key,poly,n", [
+    ("t24", "1", 16), ("t24", "t1 - t2", 16), ("t24", "t1*t2 - 1", 12), ("t24", "t1 + t2 - 2", 9),
+    ("hopf1", "1", 24), ("hopf1", "t1 + 1", 24), ("l(1)", "t1*t2 - t3", 6),
+])
+def test_constancy_check_matches_per_pair_reference(key, poly, n):
+    link = get(key).link
+    p = parse_poly(poly, mu=link.mu)
+    assert constancy_check(link, p, n) == _reference_constancy(link, p, n)
 
 
 def test_concordance_reports():

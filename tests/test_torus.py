@@ -1,16 +1,18 @@
 """Torus points: lattices from shared turn tables against the validating constructor."""
 
+import sys
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linksig.clink import ColoredLinkData, sign_vectors
 from linksig.errors import InvalidInput
-from linksig.sampler import grid, sample_map, tbang_points
-from linksig.torus import TorusPoint, lattice
+from linksig.sampler import grid, records_to_csv, records_to_json, sample_map, tbang_points
+from linksig.torus import Lattice, TorusPoint, denominator_groups, lattice, turn_formatter
 
 
 def _validated(ks, n):
@@ -39,6 +41,93 @@ def test_tbang_points_match_validating_constructor(p, d, mu):
     order = p**d
     expected = [_validated(ks, order) for ks in product(range(order), repeat=mu)]
     _assert_same(list(tbang_points(p, d, mu)), expected)
+
+
+LATTICE_SLICES = [slice(None), slice(3, 17), slice(5, 5), slice(40, None), slice(None, None, 3),
+                  slice(-9, -2), slice(None, None, -4), slice(2, 1000)]
+
+
+@pytest.mark.parametrize("n,mu,start", [(5, 3, 0), (5, 3, 1), (6, 2, 0), (4, 1, 1), (7, 2, 3)])
+def test_lattice_is_a_sequence_of_the_generated_points(n, mu, start):
+    L = lattice(n, mu, start)
+    expected = [_validated(ks, n) for ks in product(range(start, n), repeat=mu)]
+    assert isinstance(L, Lattice) and len(L) == len(expected)
+    _assert_same(list(L), expected)
+    for sl in LATTICE_SLICES:
+        part = L[sl]
+        assert isinstance(part, Lattice) and len(part) == len(expected[sl])
+        _assert_same(list(part), expected[sl])
+        assert part.numerators().tolist() == [[int(q * n) for q in pt.turns] for pt in expected[sl]]
+    for i in range(-len(expected), len(expected)):
+        _assert_same([L[i]], [expected[i]])
+    for i in (0, 1, -1):
+        _assert_same([L[1:][i]], [expected[1:][i]])
+    for i in (len(expected), -len(expected) - 1):
+        with pytest.raises(IndexError):
+            L[i]
+    assert L[2:9][1:4] == L[3:6] and hash(L[2:9][1:4]) == hash(L[3:6])
+
+
+def test_lattice_slices_share_their_turns():
+    L = grid(9, 2)
+    turns = {id(q) for part in (L, L[:20], L[30:], L[7:8]) for pt in part for q in pt.turns}
+    turns |= {id(q) for q in L[11].turns}
+    assert len(turns) == 8  # one Fraction(k, 9) per k, whichever way the points are reached
+
+
+def test_lattice_groups_by_its_one_denominator():
+    L = tbang_points(2, 3, 2)  # turns k/8 with reduced denominators 1, 2, 4 and 8
+    for part in (L, L[10:45], L[::-7]):
+        ((d, rows, nums),) = denominator_groups(part)
+        assert d == 8 and rows.tolist() == list(range(len(part)))
+        assert nums.dtype == np.int64
+        assert nums.tolist() == [[int(q * 8) for q in pt.turns] for pt in part]
+    assert denominator_groups(L[5:5]) == []
+    # points given as a list keep the grouping by reduced denominator
+    assert sorted(d for d, _, _ in denominator_groups(list(L))) == [1, 2, 4, 8]
+
+
+def test_lattices_beyond_sys_maxsize_points_are_refused():
+    whole = lattice(2**63, 1, 1)  # 2^63 - 1 = sys.maxsize points
+    assert len(whole) == sys.maxsize
+    assert whole[-3:].numerators().tolist() == [[2**63 - 3], [2**63 - 2], [2**63 - 1]]
+    for make in (lambda: lattice(2**63, 1), lambda: lattice(31 * 10**8, 2), lambda: grid(10**10, 2),
+                 lambda: tbang_points(2, 64, 1), lambda: tbang_points(2, 21, 3),
+                 lambda: tbang_points(3, 10**12, 2), lambda: lattice(10**5000, 3)):
+        with pytest.raises(InvalidInput, match="too large") as err:
+            make()
+        assert len(str(err.value)) < 200
+
+
+def test_turn_formatter_formats_each_shared_turn_once(monkeypatch):
+    calls = []
+    original = Fraction.__str__
+    monkeypatch.setattr(Fraction, "__str__", lambda q: calls.append(q) or original(q))
+    points = list(grid(7, 3, include_faces=True))
+    fmt = turn_formatter()
+    assert [fmt(pt) for pt in points] == [[original(q) for q in pt.turns] for pt in points]
+    assert len(calls) == 7
+    # distinct objects with equal values are formatted alike
+    assert fmt(TorusPoint.of(Fraction(2, 7), "1/7")) == ["2/7", "1/7"]
+    link = ColoredLinkData("unit", 3, (("K1", 1), ("K2", 2), ("K3", 3)), {}, g=1,
+                           seifert={eps: ((1,),) for eps in sign_vectors(3) if eps[0] > 0})
+    records = sample_map(link, grid(7, 3))
+    for to_text in (records_to_csv, records_to_json):
+        calls.clear()
+        to_text(records, 3)
+        assert len(calls) == 6
+
+
+def test_turns_with_huge_exponents_are_refused_at_once():
+    for text in ("1e10000000,1/2", "1E-4301", "1e" + "9" * 50, "1" * 4301, "1/" + "3" * 4300):
+        with pytest.raises(InvalidInput, match="more than 4300 digits") as err:
+            TorusPoint.from_string(text)
+        assert len(str(err.value)) < 200
+    assert TorusPoint.from_string("2.5e-1, 1e-2").turns == (Fraction(1, 4), Fraction(1, 100))
+    assert TorusPoint.from_string("1e4299").turns == (Fraction(0),)
+    with pytest.raises(InvalidInput, match="characters") as err:
+        TorusPoint.from_string("x" * 100_000)
+    assert len(str(err.value)) < 300
 
 
 def test_conjugate_and_drop_match_validating_constructor():
