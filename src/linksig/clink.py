@@ -13,6 +13,7 @@ the Hosokawa computations but cannot be sampled.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Mapping, Sequence
@@ -169,14 +170,19 @@ class ColoredLinkData:
         return _transpose(self.seifert[tuple(-e for e in eps)])
 
 
-def _coefficient(point: TorusPoint, eps: SignVector, conjugated: bool) -> complex:
-    """prod_i (1 - conj(omega_i)^{eps_i}) or prod_i (1 - omega_i^{eps_i})."""
-    c = complex(1.0, 0.0)
-    for q, e in zip(point.turns, eps):
-        sign = -e if conjugated else e
-        turn = (sign * q) % 1
-        c *= 1.0 - unit_root(turn.numerator, turn.denominator)
-    return c
+def _coefficient_products(point: TorusPoint) -> list[complex]:
+    """prod_i (1 - conj(omega_i)^{eps_i}) for every eps in sign_vectors order.
+
+    Built from one factor pair per variable, so conjugate pairs are exact
+    float conjugates.  Reversed, the list holds prod_i (1 - omega_i^{eps_i}):
+    the entry at -eps is the unconjugated product at eps.
+    """
+    pairs = []
+    for q in point.turns:
+        t = (-q) % 1
+        pairs.append((1.0 - unit_root(t.numerator, t.denominator),   # eps_i = +1
+                      1.0 - unit_root(q.numerator, q.denominator)))  # eps_i = -1
+    return [math.prod(factors, start=complex(1.0, 0.0)) for factors in product(*pairs)]
 
 
 def _seifert_arrays(link: ColoredLinkData) -> tuple[np.ndarray, np.ndarray]:
@@ -241,22 +247,11 @@ def hermitian_with_scale(link: ColoredLinkData, point: TorusPoint) -> tuple[np.n
         raise InvalidInput(f"point arity {point.mu} != link mu {link.mu}")
     if link.seifert is None:
         raise MissingSeifertData(f"link {link.name!r} has no Seifert data")
-    g = link.g
-    h = np.zeros((g, g), dtype=np.complex128)
-    scale = 0.0
-    # one factor pair per variable; conjugate pairs are exact float conjugates
-    f_plus = []
-    f_minus = []
-    for q in point.turns:
-        t = (-q) % 1
-        f_plus.append(1.0 - unit_root(t.numerator, t.denominator))
-        f_minus.append(1.0 - unit_root(q.numerator, q.denominator))
     stack, amaxes = _seifert_arrays(link)
+    h = np.zeros(stack.shape[1:], dtype=np.complex128)
+    scale = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for eps, a, amax in zip(sign_vectors(link.mu), stack, amaxes.tolist()):
-            c = complex(1.0, 0.0)
-            for i, e in enumerate(eps):
-                c *= f_plus[i] if e > 0 else f_minus[i]
+        for c, a, amax in zip(_coefficient_products(point), stack, amaxes.tolist()):
             h += c * a
             scale += abs(c) * amax
     return h, scale
@@ -283,7 +278,10 @@ class SlopeData:
 
 
 def slope_matrix_at(slope_data: SlopeData, point: TorusPoint) -> np.ndarray:
-    """E(omega) = sum_eps prod_i (1 - omega_i^{eps_i})^{-1} A^eps over the base."""
+    """E(omega) = sum_eps prod_i (1 - omega_i^{eps_i})^{-1} A^eps over the base.
+
+    Entries that overflow come back non-finite, and solve rejects them.
+    """
     base = slope_data.base
     if point.mu != base.mu:
         raise InvalidInput(f"point arity {point.mu} != base mu {base.mu}")
@@ -292,8 +290,9 @@ def slope_matrix_at(slope_data: SlopeData, point: TorusPoint) -> np.ndarray:
         raise CoordinateOne(f"slope matrix undefined: coordinate(s) {ones} equal 1")
     stack, _ = _seifert_arrays(base)
     e_mat = np.zeros(stack.shape[1:], dtype=np.complex128)
-    for eps, a in zip(sign_vectors(base.mu), stack):
-        e_mat += (1.0 / _coefficient(point, eps, conjugated=False)) * a
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, a in zip(reversed(_coefficient_products(point)), stack):
+            e_mat += (1.0 / c) * a
     return e_mat
 
 

@@ -22,7 +22,7 @@ class NotHermitian(InvalidInput):
 
 
 class EigensolverFailure(LinksigError):
-    """A form or its scale is not finite, or the eigenvalue routine failed."""
+    """A form, system or scale is not finite, or a LAPACK routine failed."""
 
 
 class CoordinateOne(InvalidInput):

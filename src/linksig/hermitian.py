@@ -17,6 +17,13 @@ order n * eps * ||H|| (eps ~ 2.2e-16).  The scale bounds every entry, so
 several hundred.  The relative accuracy of Jacobi rotations on small
 eigenvalues (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992) would
 matter only below the cut, where every eigenvalue already counts as zero.
+
+solve reads the rank of a square system from one LAPACK singular value
+decomposition (np.linalg.svd), with the same relative cut: singular values
+above tau times the largest entry count.  It returns the least-norm
+particular solution and, for a rank-deficient system, an orthonormal basis
+of the numerical kernel.  A non-finite system or a failed SVD raises
+EigensolverFailure, as in inertia.
 """
 
 from __future__ import annotations
@@ -67,10 +74,11 @@ def inertia(m: np.ndarray, tau: float = DEFAULT_TAU, scale: float | None = None)
 
     Eigenvalues with |lambda| > tau*scale count into the signature, the rest
     into the nullity; certified is False when any eigenvalue falls inside
-    the band (tau*scale/16, 16*tau*scale).  A matrix or scale that is not
-    finite, or an eigensolver failure, raises EigensolverFailure.  The
-    Hermitian defect is measured against the larger of scale and the largest
-    entry, so a form that cancels to rounding residue classifies as zeros.
+    the band (tau*scale/16, 16*tau*scale).  A matrix, symmetrised form or
+    scale that is not finite, or an eigensolver failure, raises
+    EigensolverFailure.  The Hermitian defect is measured against the larger
+    of scale and the largest entry, so a form that cancels to rounding
+    residue classifies as zeros.
     """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -91,8 +99,12 @@ def inertia(m: np.ndarray, tau: float = DEFAULT_TAU, scale: float | None = None)
     herm_defect = float(np.max(np.abs(a - a.conj().T)))
     if herm_defect > _HERMITIAN_REL * reference:
         raise NotHermitian(f"asymmetry {herm_defect:.3e} exceeds {_HERMITIAN_REL:.0e} * {reference:.3e}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = (a + a.conj().T) / 2.0
+    if not np.all(np.isfinite(sym)):
+        raise EigensolverFailure(f"the symmetrised {n}x{n} form is not finite")
     try:
-        eig = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+        eig = np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"eigvalsh failed on a {n}x{n} matrix: {exc}") from exc
     cut = tau * scale
@@ -109,18 +121,21 @@ def inertia_many(h: np.ndarray, scale: np.ndarray,
 
     The batched counterpart of inertia with one scale per form.  Returns
     (signature, nullity, certified, ok).  A row with ok False has a
-    non-finite form or scale or fails the Hermitian check; its other entries
-    are meaningless, and inertia on that form gives its error.
+    non-finite form, symmetrised form or scale, or fails the Hermitian
+    check; its other entries are meaningless, and inertia on that form gives
+    its error.
     """
     herm = h.conj().swapaxes(1, 2)
     entry_scale = np.abs(h).max(axis=(1, 2), initial=0.0)
-    with np.errstate(invalid="ignore"):  # inf - inf in a form that is rejected anyway
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow and inf - inf in forms rejected anyway
         herm_defect = np.abs(h - herm).max(axis=(1, 2), initial=0.0)
-    ok = (np.isfinite(h).all(axis=(1, 2)) & np.isfinite(scale)
+        sym = (h + herm) / 2.0
+    # a finite symmetrised form has a finite h as well
+    ok = (np.isfinite(sym).all(axis=(1, 2)) & np.isfinite(scale)
           & (herm_defect <= _HERMITIAN_REL * np.maximum(entry_scale, scale)))
     eig = np.zeros(h.shape[:2])
     try:
-        eig[ok] = np.linalg.eigvalsh((h[ok] + herm[ok]) / 2.0)
+        eig[ok] = np.linalg.eigvalsh(sym[ok])
     except np.linalg.LinAlgError:
         ok[:] = False
     return (*_classify(eig, tau * scale[:, None]), ok)
@@ -142,18 +157,21 @@ class NoSolution:
 @dataclass(frozen=True)
 class NonUnique:
     alpha: np.ndarray
-    kernel_basis: np.ndarray  # columns span the numerical kernel
+    kernel_basis: np.ndarray  # orthonormal columns spanning the numerical kernel
 
 
 def solve(m: np.ndarray, b: np.ndarray, tau: float = DEFAULT_TAU):
-    """Solve m @ alpha = b by Gaussian elimination with full pivoting.
+    """Solve m @ alpha = b through one singular value decomposition.
 
-    Pivots below tau times the largest initial entry count as zero.  Returns
-    Solution, NoSolution (b outside the column space), or NonUnique with a
-    particular solution and an orthonormalized kernel basis.
+    Singular values above tau times the largest entry of m count toward the
+    rank.  Returns NoSolution when the component of b beyond the rank,
+    U^H b, exceeds tau times the larger of max|b| and that entry; otherwise
+    the least-norm solution alpha = V_r diag(1/s_r) U_r^H b, as Solution at
+    full rank or as NonUnique with the orthonormal kernel basis V[:, rank:].
+    A non-finite m or b, or a failed SVD, raises EigensolverFailure.
     """
-    a = np.array(m, dtype=np.complex128, copy=True)
-    rhs = np.array(b, dtype=np.complex128, copy=True).reshape(-1)
+    a = np.asarray(m, dtype=np.complex128)
+    rhs = np.asarray(b, dtype=np.complex128).reshape(-1)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquare(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
@@ -161,50 +179,22 @@ def solve(m: np.ndarray, b: np.ndarray, tau: float = DEFAULT_TAU):
         raise InvalidInput(f"rhs length {rhs.shape[0]} != dimension {n}")
     if n == 0:
         return Solution(np.empty(0, dtype=np.complex128))
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(rhs))):
+        raise EigensolverFailure(f"a {n}x{n} system has non-finite entries")
     scale = float(np.max(np.abs(a)))
-    pivot_cut = tau * scale
-    col_perm = np.arange(n)
-    rank = n
-    for k in range(n):
-        sub = np.abs(a[k:, k:])
-        i, j = np.unravel_index(int(np.argmax(sub)), sub.shape)
-        if sub[i, j] <= pivot_cut:
-            rank = k
-            break
-        i += k
-        j += k
-        if i != k:
-            a[[k, i], :] = a[[i, k], :]
-            rhs[[k, i]] = rhs[[i, k]]
-        if j != k:
-            a[:, [k, j]] = a[:, [j, k]]
-            col_perm[[k, j]] = col_perm[[j, k]]
-        factors = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k:] -= np.outer(factors, a[k, k:])
-        rhs[k + 1:] -= factors * rhs[k]
-
-    rhs_scale = max(float(np.max(np.abs(rhs))) if n else 0.0, scale, 1e-300)
-    if rank < n and np.any(np.abs(rhs[rank:]) > tau * rhs_scale):
+    try:
+        u, s, vh = np.linalg.svd(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailure(f"svd failed on a {n}x{n} matrix: {exc}") from exc
+    rank = int(np.sum(s > tau * scale))
+    c = u.conj().T @ rhs
+    rhs_scale = max(float(np.max(np.abs(rhs))), scale, 1e-300)
+    if np.any(np.abs(c[rank:]) > tau * rhs_scale):
         return NoSolution()
-
-    # back substitution on the leading rank x rank triangle, free vars = 0
-    x = np.zeros(n, dtype=np.complex128)
-    for k in range(rank - 1, -1, -1):
-        x[k] = (rhs[k] - a[k, k + 1:rank] @ x[k + 1:rank]) / a[k, k]
-    alpha = np.zeros(n, dtype=np.complex128)
-    alpha[col_perm[:rank]] = x[:rank]
+    alpha = vh[:rank].conj().T @ (c[:rank] / s[:rank])
     if rank == n:
         return Solution(alpha)
-
-    kernel = np.zeros((n, n - rank), dtype=np.complex128)
-    for f in range(n - rank):
-        y = np.zeros(n, dtype=np.complex128)
-        y[rank + f] = 1.0
-        for k in range(rank - 1, -1, -1):
-            y[k] = -(a[k, k + 1:] @ y[k + 1:]) / a[k, k]
-        kernel[col_perm, f] = y
-        kernel[:, f] /= np.linalg.norm(kernel[:, f])
-    return NonUnique(alpha, kernel)
+    return NonUnique(alpha, vh[rank:].conj().T)
 
 
 # -- exact integer/rational inertia -------------------------------------------

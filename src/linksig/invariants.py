@@ -11,12 +11,13 @@ sign of the slope.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clink import ColoredLinkData, SlopeData, hermitian_with_scale, nu_exponents, seifert_framed_linking_matrix, slope_matrix_at
-from .errors import AmbiguousSlope, InvalidInput, Mu1Only, NotReal
+from .errors import AmbiguousSlope, EigensolverFailure, InvalidInput, Mu1Only, NotReal
 from .hermitian import DEFAULT_TAU, InertiaResult, NonUnique, NoSolution, exact_symmetric_inertia, inertia, solve
 from .laurent import LaurentPoly, exact_div, unit_normalize
 from .torus import TorusPoint
@@ -141,7 +142,8 @@ def slope(slope_data: SlopeData, point: TorusPoint, tau: float = DEFAULT_TAU) ->
 
     NoSolution means [K] is outside the image, i.e. the slope is infinite.
     A rank-deficient system is accepted only when the class annihilates the
-    kernel, so the value is constant on the solution set.
+    kernel, so the value is constant on the solution set.  A system or value
+    that is not finite raises EigensolverFailure.
     """
     e_mat = slope_matrix_at(slope_data, point)
     k = np.array(slope_data.k_class, dtype=np.complex128)
@@ -152,10 +154,10 @@ def slope(slope_data: SlopeData, point: TorusPoint, tau: float = DEFAULT_TAU) ->
         overlaps = np.abs(result.kernel_basis.T @ k)
         if np.any(overlaps > tau * max(1.0, float(np.linalg.norm(k)))):
             raise AmbiguousSlope("the distinguished class does not annihilate the kernel")
-        alpha = result.alpha
-    else:
-        alpha = result.alpha
-    value = -complex(k @ alpha)
+    alpha = result.alpha
+    value = 0.0 - complex(k @ alpha)  # not -(...): an exact zero slope is 0, not -0
+    if not cmath.isfinite(value):
+        raise EigensolverFailure(f"slope {value} is not finite")
     scale = 1.0 + float(np.sum(np.abs(k))) * float(np.max(np.abs(alpha), initial=0.0))
     if abs(value.imag) > _SLOPE_IMAG_REL * scale:
         raise NotReal(f"slope has imaginary residue {value.imag:.3e} at scale {scale:.3e}")

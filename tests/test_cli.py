@@ -259,6 +259,34 @@ def test_sigmap_overflow_keeps_stderr_empty(tmp_path):
     assert len(rows) == 27 and all(row.endswith(",NA,NA,Skipped,false") for row in rows)
 
 
+def test_overflowing_slope_is_a_numerical_failure(exported):
+    # the slope base of l(1) scaled by 10**307 overflows E(omega); the slope
+    # must fail and the face records must be skipped, all without warnings
+    data = json.loads((exported["dir"] / "l_1.slope.json").read_text())
+    data["base"]["seifert"] = {key: [[10**307 * x for x in row] for row in m]
+                               for key, m in data["base"]["seifert"].items()}
+    path = exported["dir"] / "huge.slope.json"
+    path.write_text(json.dumps(data))
+    src = os.path.dirname(os.path.dirname(linksig.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "linksig.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    proc = run("slope", str(path), "--omega", "1/30,1/30")
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr.startswith("numerical failure:") and len(proc.stderr.splitlines()) == 1
+    proc = run("sigmap", exported["link"], "--grid", "30", "--faces", "--slope", str(path), "--format", "json")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    records = {tuple(r["turns"]): r for r in json.loads(proc.stdout)["records"]}
+    for q2, q3 in (("1/30", "1/30"), ("1/30", "29/30"), ("29/30", "1/30"), ("29/30", "29/30")):
+        r = records[("0", q2, q3)]
+        assert (r["sigma"], r["source"], r["certified"]) == (None, "Skipped", False)
+        assert r["flags"] == ["EvaluationError", "EigensolverFailure"]
+
+
 def test_sigmap_ppm_rejects_arity_before_sweeping(exported, monkeypatch, capsys):
     def no_sweep(*args, **kwargs):
         raise AssertionError("sample_map must not run")

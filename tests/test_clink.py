@@ -9,7 +9,6 @@ from linksig.catalog import get, list_keys
 from linksig.clink import (
     ColoredLinkData,
     SlopeData,
-    _coefficient,
     hermitian_at,
     hermitian_with_scale,
     link_from_dict,
@@ -210,6 +209,15 @@ def test_slope_matrix_displayed_entries():
 
 
 def test_slope_matrix_reads_cached_arrays_bit_identically(rng):
+    def _coefficient(point, eps, conjugated):
+        """prod_i (1 - conj(omega_i)^{eps_i}) or prod_i (1 - omega_i^{eps_i})."""
+        c = complex(1.0, 0.0)
+        for q, e in zip(point.turns, eps):
+            sign = -e if conjugated else e
+            turn = (sign * q) % 1
+            c *= 1.0 - unit_root(turn.numerator, turn.denominator)
+        return c
+
     # the former formula, which rebuilt each A^eps from the integer matrix
     def rebuilt(sd, pt):
         g = sd.base.g

@@ -239,6 +239,67 @@ def test_solve_rank_deficient_consistent(nprng):
             assert np.linalg.norm(m @ v) <= 1e-7 * max(1.0, np.linalg.norm(m))
 
 
+def _rank_deficient_system(nprng, n, r):
+    left = nprng.uniform(-2, 2, (n, r)) + 1j * nprng.uniform(-2, 2, (n, r))
+    return left @ (nprng.uniform(-2, 2, (r, n)) + 1j * nprng.uniform(-2, 2, (r, n)))
+
+
+def test_solve_kernel_basis_is_orthonormal(nprng):
+    for _ in range(300):
+        n = int(nprng.integers(3, 7))
+        r = int(nprng.integers(1, n))
+        m = _rank_deficient_system(nprng, n, r)
+        res = solve(m, m @ (nprng.uniform(-1, 1, n) + 1j * nprng.uniform(-1, 1, n)))
+        assert isinstance(res, NonUnique)
+        k = res.kernel_basis
+        assert k.shape == (n, n - r)
+        assert np.max(np.abs(k.conj().T @ k - np.eye(n - r))) <= 1e-12
+
+
+def test_solve_rhs_outside_the_range(nprng):
+    for _ in range(100):
+        n = int(nprng.integers(2, 7))
+        r = int(nprng.integers(1, n))
+        m = _rank_deficient_system(nprng, n, r)
+        u = np.linalg.svd(m)[0]
+        b = m @ (nprng.uniform(-1, 1, n) + 0j) + u[:, r]  # a left singular vector beyond the rank
+        assert isinstance(solve(m, b), NoSolution)
+
+
+def test_solve_tolerance_edge():
+    # 1e-12 lies below the cut tau * max|m_ij| = 1e-9, so the rank is 1
+    m = np.diag([1.0, 1e-12])
+    res = solve(m, np.array([1.0, 0.0]))
+    assert isinstance(res, NonUnique)
+    assert np.allclose(res.alpha, [1.0, 0.0]) and np.allclose(np.abs(res.kernel_basis), [[0.0], [1.0]])
+    assert isinstance(solve(m, np.array([1.0, 1.0])), NoSolution)
+
+
+def test_solve_rejects_nonfinite(monkeypatch):
+    for m, b in ((np.array([[np.nan]]), np.ones(1)),
+                 (np.array([[1.0, np.inf], [0.0, 1.0]]), np.ones(2)),
+                 (np.eye(2), np.array([1.0, np.inf])),
+                 (np.eye(2), np.array([np.nan, 0.0]))):
+        with pytest.raises(EigensolverFailure):
+            solve(m, b)
+
+    def fail(_):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(EigensolverFailure):
+        solve(np.eye(2), np.ones(2))
+
+
+def test_inertia_rejects_overflowing_symmetrisation():
+    # every entry is finite, but (a + a^H) / 2 overflows
+    m = np.array([[1.5e308, 1.0], [1.0, 1.0]])
+    with pytest.raises(EigensolverFailure):
+        inertia(m)
+    _, _, _, ok = inertia_many(np.array([m, np.eye(2)], dtype=complex), np.array([1.5e308, 1.0]))
+    assert ok.tolist() == [False, True]
+
+
 def test_exact_symmetric_inertia_cases():
     assert exact_symmetric_inertia([[-1, 1], [1, -1]]) == (-1, 1)
     assert exact_symmetric_inertia([[0, 1], [1, 0]]) == (0, 0)

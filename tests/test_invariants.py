@@ -1,12 +1,13 @@
 """Hosokawa polynomials, the slope, face signatures, the value at omega = 1."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from linksig.catalog import get, ln_face_sigma, ln_slope_value
 from linksig.clink import ColoredLinkData, SlopeData
-from linksig.errors import InvalidInput, Mu1Only, NotDivisible
+from linksig.errors import EigensolverFailure, InvalidInput, LinksigError, Mu1Only, NotDivisible
 from linksig.invariants import (
     face_parts,
     face_signature,
@@ -138,6 +139,21 @@ def test_slope_infinite_and_nonunique():
     sd2 = SlopeData(base, (1, 1), 1)
     v = slope(sd2, TorusPoint.of(Fraction(1, 3), Fraction(2, 5)))
     assert v.is_finite and abs(v.value - (-1.0)) < 1e-9
+
+
+def test_overflowing_slope_is_an_error_not_a_face_sign():
+    # l(1) with its slope base's Seifert entries scaled by 10**307: E(omega)
+    # overflows, and the face signature must fail instead of reading the
+    # sign of a NaN slope
+    entry = get("l(1)")
+    base = entry.slope.base
+    huge = {eps: tuple(tuple(10**307 * x for x in row) for row in m) for eps, m in base.seifert.items()}
+    sd = replace(entry.slope, base=replace(base, seifert=huge))
+    with pytest.raises(EigensolverFailure):
+        slope(sd, TorusPoint.of(Fraction(1, 30), Fraction(1, 30)))
+    for q2, q3 in ((1, 1), (1, 29), (29, 1), (29, 29)):
+        with pytest.raises(LinksigError):
+            face_parts(entry.link, sd, TorusPoint.of(0, Fraction(q2, 30), Fraction(q3, 30)))
 
 
 def test_slope_requires_interior():
