@@ -1,7 +1,8 @@
 """Command-line front-end.
 
 Exit codes: 0 success, 2 invalid input (schema or precondition), 3 success
-with uncertain samples, 4 internal numerical failure.  Machine output goes to
+with uncertain samples, 4 internal numerical failure (for report also
+samples that failed to evaluate, after the report is printed).  Machine output goes to
 the chosen path (default stdout); diagnostics go to stderr.
 """
 
@@ -188,6 +189,11 @@ def _cmd_report(args) -> int:
     for point, sigma in report.witnesses:
         sys.stdout.write(f"witness {point} sigma={sigma}\n")
     sys.stdout.write(f"samples={report.samples} uncertain={report.uncertain}\n")
+    if report.errors:
+        point, kind = report.first_error
+        sys.stderr.write(f"numerical failure: {report.errors} of {report.samples} samples failed "
+                         f"to evaluate; the first at {point}: {kind}\n")
+        return EXIT_NUMERICAL
     return EXIT_UNCERTAIN if report.uncertain else EXIT_OK
 
 

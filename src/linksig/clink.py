@@ -198,23 +198,33 @@ def _seifert_arrays(link: ColoredLinkData) -> tuple[np.ndarray, np.ndarray]:
     return cache
 
 
+def numerator_coefficients(d: int, nums: np.ndarray) -> np.ndarray:
+    """The (P, 2^mu) array of prod_i (1 - conj(omega_i)^{eps_i}) for the
+    points with turns nums[p, i] / d, from a (P, mu) integer array.
+
+    The factors are read from one table of unit_root(k, d) (unit_roots), so
+    conjugate factor pairs are exact floating conjugates.
+    """
+    count, mu = nums.shape
+    ks = np.concatenate([-nums, nums]) % d
+    factors = (1.0 - unit_roots(ks, d)).reshape(2, count, mu)  # eps_i = +1, -1
+    c = factors[:, :, 0].T
+    for i in range(1, mu):
+        c = (c[:, :, None] * factors[:, :, i].T[:, None, :]).reshape(count, 2 ** (i + 1))
+    return c
+
+
 def seifert_coefficients(mu: int, points: Sequence[TorusPoint]) -> np.ndarray:
     """The (P, 2^mu) array of prod_i (1 - conj(omega_i)^{eps_i}), one row per
     point and one column per sign vector in sign_vectors order.
 
     Points are grouped by the common denominator d of their turns
-    (denominator_groups), and each group reads its factors from one table of
-    unit_root(k, d) indexed by integer numerators, so conjugate factor pairs
-    are exact floating conjugates.
+    (denominator_groups), and each group's rows come from its integer
+    numerators (numerator_coefficients).
     """
     coef = np.empty((len(points), 2**mu), dtype=np.complex128)
     for d, rows, nums in denominator_groups(points):
-        ks = np.concatenate([-nums, nums]) % d
-        factors = (1.0 - unit_roots(ks, d)).reshape(2, len(rows), mu)  # eps_i = +1, -1
-        c = factors[:, :, 0].T
-        for i in range(1, mu):
-            c = (c[:, :, None] * factors[:, :, i].T[:, None, :]).reshape(len(rows), -1)
-        coef[rows] = c
+        coef[rows] = numerator_coefficients(d, nums)
     return coef
 
 
@@ -294,6 +304,17 @@ def slope_matrix_at(slope_data: SlopeData, point: TorusPoint) -> np.ndarray:
         for c, a in zip(reversed(_coefficient_products(point)), stack):
             e_mat += (1.0 / c) * a
     return e_mat
+
+
+def slope_matrices(slope_data: SlopeData, coef: np.ndarray) -> np.ndarray:
+    """The (P, g, g) stack of E(omega) from the base's coefficient rows, as in
+    slope_matrix_at: the entry of coef at -eps is prod_i (1 - omega_i^{eps_i}),
+    so the coefficients of E are 1 / coef[:, ::-1].  No point may have a
+    coordinate 1 (a zero coefficient).
+    """
+    stack, _ = _seifert_arrays(slope_data.base)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return np.einsum("pe,ejk->pjk", 1.0 / coef[:, ::-1], stack)
 
 
 def mirror(link: ColoredLinkData) -> ColoredLinkData:

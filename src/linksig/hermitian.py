@@ -18,12 +18,14 @@ several hundred.  The relative accuracy of Jacobi rotations on small
 eigenvalues (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992) would
 matter only below the cut, where every eigenvalue already counts as zero.
 
-solve reads the rank of a square system from one LAPACK singular value
-decomposition (np.linalg.svd), with the same relative cut: singular values
-above tau times the largest entry count.  It returns the least-norm
-particular solution and, for a rank-deficient system, an orthonormal basis
-of the numerical kernel.  A non-finite system or a failed SVD raises
-EigensolverFailure, as in inertia.
+solve_many reads the rank of each system of a stack from one stacked LAPACK
+singular value decomposition (np.linalg.svd), with the same relative cut:
+singular values above tau times the largest entry count.  It gives the
+least-norm particular solution and, for a rank-deficient system, an
+orthonormal basis of the numerical kernel; non-finite rows are marked, as
+in inertia_many.  solve is solve_many on a stack of one, so the arithmetic
+exists once: a non-finite system or a failed SVD raises EigensolverFailure,
+as in inertia.
 """
 
 from __future__ import annotations
@@ -160,15 +162,75 @@ class NonUnique:
     kernel_basis: np.ndarray  # orthonormal columns spanning the numerical kernel
 
 
-def solve(m: np.ndarray, b: np.ndarray, tau: float = DEFAULT_TAU):
-    """Solve m @ alpha = b through one singular value decomposition.
+@dataclass(frozen=True)
+class Solutions:
+    """Row-wise results of solve_many on a (P, n, n) stack of systems.
 
-    Singular values above tau times the largest entry of m count toward the
-    rank.  Returns NoSolution when the component of b beyond the rank,
-    U^H b, exceeds tau times the larger of max|b| and that entry; otherwise
-    the least-norm solution alpha = V_r diag(1/s_r) U_r^H b, as Solution at
-    full rank or as NonUnique with the orthonormal kernel basis V[:, rank:].
-    A non-finite m or b, or a failed SVD, raises EigensolverFailure.
+    A row with ok False has a non-finite system, or the SVD failed; its
+    other entries are meaningless, and solve on that row gives its error.
+    """
+
+    rank: np.ndarray  # (P,) singular values above tau times the largest entry
+    solvable: np.ndarray  # (P,) False where the system has no solution
+    alpha: np.ndarray  # (P, n) least-norm solutions of the solvable rows
+    vh: np.ndarray  # (P, n, n) right singular vectors; rows rank: span the kernel, conjugated
+    ok: np.ndarray  # (P,)
+
+    def result(self, i: int) -> Solution | NoSolution | NonUnique:
+        """Row i in the contract of solve."""
+        rank = int(self.rank[i])
+        if not self.solvable[i]:
+            return NoSolution()
+        if rank == self.alpha.shape[1]:
+            return Solution(self.alpha[i])
+        return NonUnique(self.alpha[i], self.vh[i, rank:].conj().T)
+
+
+def solve_many(m: np.ndarray, b: np.ndarray, tau: float = DEFAULT_TAU) -> Solutions:
+    """Solve every system m[i] @ alpha = b[i] of a (P, n, n) stack through one
+    stacked singular value decomposition.
+
+    Singular values above tau times the largest entry of m[i] count toward
+    its rank.  A row has no solution when the component of b[i] beyond the
+    rank, U^H b, exceeds tau times the larger of max|b[i]| and that entry;
+    otherwise alpha[i] = V_r diag(1/s_r) U_r^H b[i] is its least-norm
+    solution.  Non-finite rows come back with ok False and leave the others
+    unaffected; a failed SVD sets ok False on every row.
+    """
+    count, n = m.shape[:2]
+    ok = np.isfinite(m).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+    rank = np.zeros(count, dtype=np.intp)
+    solvable = np.zeros(count, dtype=bool)
+    alpha = np.zeros((count, n), dtype=np.complex128)
+    vh = np.zeros((count, n, n), dtype=np.complex128)
+    rows = np.flatnonzero(ok)
+    try:
+        u, s, vh[rows] = np.linalg.svd(m[rows])
+    except np.linalg.LinAlgError:
+        return Solutions(rank, solvable, alpha, vh, np.zeros(count, dtype=bool))
+    a, rhs = m[rows], b[rows]
+    with np.errstate(over="ignore", invalid="ignore"):  # hypot overflow in huge finite entries
+        scale = np.abs(a).max(axis=(1, 2), initial=0.0)
+        rank[rows] = np.sum(s > tau * scale[:, None], axis=1)
+        c = (u.conj().swapaxes(1, 2) @ rhs[..., None])[..., 0]
+        rhs_scale = np.maximum(np.maximum(np.abs(rhs).max(axis=1, initial=0.0), scale), 1e-300)
+        beyond = np.arange(n) >= rank[rows, None]
+        solvable[rows] = ~np.any(beyond & (np.abs(c) > tau * rhs_scale[:, None]), axis=1)
+        # the least-norm solutions, one product per rank so that each sums its rank terms only
+        for r in np.unique(rank[rows]).tolist():
+            sel = (rank[rows] == r) & solvable[rows]
+            w = (c[sel, :r] / s[sel, :r])[..., None]
+            alpha[rows[sel]] = (vh[rows[sel], :r].conj().swapaxes(1, 2) @ w)[..., 0]
+    return Solutions(rank, solvable, alpha, vh, ok)
+
+
+def solve(m: np.ndarray, b: np.ndarray, tau: float = DEFAULT_TAU) -> Solution | NoSolution | NonUnique:
+    """Solve m @ alpha = b: solve_many on a stack of one.
+
+    Returns NoSolution when b is outside the numerical range, otherwise the
+    least-norm solution, as Solution at full rank or as NonUnique with the
+    orthonormal kernel basis V[:, rank:].  A non-finite m or b, or a failed
+    SVD, raises EigensolverFailure.
     """
     a = np.asarray(m, dtype=np.complex128)
     rhs = np.asarray(b, dtype=np.complex128).reshape(-1)
@@ -177,24 +239,12 @@ def solve(m: np.ndarray, b: np.ndarray, tau: float = DEFAULT_TAU):
     n = a.shape[0]
     if rhs.shape[0] != n:
         raise InvalidInput(f"rhs length {rhs.shape[0]} != dimension {n}")
-    if n == 0:
-        return Solution(np.empty(0, dtype=np.complex128))
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(rhs))):
         raise EigensolverFailure(f"a {n}x{n} system has non-finite entries")
-    scale = float(np.max(np.abs(a)))
-    try:
-        u, s, vh = np.linalg.svd(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(f"svd failed on a {n}x{n} matrix: {exc}") from exc
-    rank = int(np.sum(s > tau * scale))
-    c = u.conj().T @ rhs
-    rhs_scale = max(float(np.max(np.abs(rhs))), scale, 1e-300)
-    if np.any(np.abs(c[rank:]) > tau * rhs_scale):
-        return NoSolution()
-    alpha = vh[:rank].conj().T @ (c[:rank] / s[:rank])
-    if rank == n:
-        return Solution(alpha)
-    return NonUnique(alpha, vh[rank:].conj().T)
+    solutions = solve_many(a[None], rhs[None], tau)
+    if not solutions.ok[0]:
+        raise EigensolverFailure(f"svd failed on a {n}x{n} matrix")
+    return solutions.result(0)
 
 
 # -- exact integer/rational inertia -------------------------------------------

@@ -16,9 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clink import ColoredLinkData, SlopeData, hermitian_with_scale, nu_exponents, seifert_framed_linking_matrix, slope_matrix_at
+from .clink import (
+    ColoredLinkData,
+    SlopeData,
+    hermitian_with_scale,
+    nu_exponents,
+    seifert_framed_linking_matrix,
+    slope_matrices,
+    slope_matrix_at,
+)
 from .errors import AmbiguousSlope, EigensolverFailure, InvalidInput, Mu1Only, NotReal
-from .hermitian import DEFAULT_TAU, InertiaResult, NonUnique, NoSolution, exact_symmetric_inertia, inertia, solve
+from .hermitian import DEFAULT_TAU, InertiaResult, Solutions, exact_symmetric_inertia, inertia, solve_many
 from .laurent import LaurentPoly, exact_div, unit_normalize
 from .torus import TorusPoint
 
@@ -137,36 +145,76 @@ def hosokawa_normalized(conway: LaurentPoly, link: ColoredLinkData) -> LaurentPo
     return out
 
 
+def _slope_rows(k: np.ndarray, sols: Solutions, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """-K(alpha) for every row of a solve_many result, the rows whose kernel
+    the class does not annihilate, and the scale that bounds a real value's
+    imaginary residue."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        beyond = np.arange(k.size) >= sols.rank[:, None]
+        overlaps = np.abs(sols.vh.conj() @ k)  # against each kernel vector
+        ambiguous = np.any(beyond & (overlaps > tau * max(1.0, float(np.linalg.norm(k)))), axis=1)
+        value = 0.0 - sols.alpha @ k  # not -(...): an exact zero slope is 0, not -0
+        scale = 1.0 + float(np.sum(np.abs(k))) * np.abs(sols.alpha).max(axis=1, initial=0.0)
+    return value, ambiguous, scale
+
+
 def slope(slope_data: SlopeData, point: TorusPoint, tau: float = DEFAULT_TAU) -> SlopeValue:
     """The slope at omega: solve E(omega) alpha = [K], return -K(alpha).
 
-    NoSolution means [K] is outside the image, i.e. the slope is infinite.
+    No solution means [K] is outside the image, i.e. the slope is infinite.
     A rank-deficient system is accepted only when the class annihilates the
     kernel, so the value is constant on the solution set.  A system or value
-    that is not finite raises EigensolverFailure.
+    that is not finite raises EigensolverFailure.  slope_signs is the batched
+    counterpart.
     """
     e_mat = slope_matrix_at(slope_data, point)
     k = np.array(slope_data.k_class, dtype=np.complex128)
-    result = solve(e_mat, k, tau)
-    if isinstance(result, NoSolution):
+    if not np.all(np.isfinite(e_mat)):
+        raise EigensolverFailure(f"a {k.size}x{k.size} system has non-finite entries")
+    sols = solve_many(e_mat[None], k[None], tau)
+    if not sols.ok[0]:
+        raise EigensolverFailure(f"svd failed on a {k.size}x{k.size} matrix")
+    if not sols.solvable[0]:
         return SlopeValue.infinite()
-    if isinstance(result, NonUnique):
-        overlaps = np.abs(result.kernel_basis.T @ k)
-        if np.any(overlaps > tau * max(1.0, float(np.linalg.norm(k)))):
-            raise AmbiguousSlope("the distinguished class does not annihilate the kernel")
-    alpha = result.alpha
-    value = 0.0 - complex(k @ alpha)  # not -(...): an exact zero slope is 0, not -0
+    values, ambiguous, scales = _slope_rows(k, sols, tau)
+    if ambiguous[0]:
+        raise AmbiguousSlope("the distinguished class does not annihilate the kernel")
+    value, scale = complex(values[0]), float(scales[0])
     if not cmath.isfinite(value):
         raise EigensolverFailure(f"slope {value} is not finite")
-    scale = 1.0 + float(np.sum(np.abs(k))) * float(np.max(np.abs(alpha), initial=0.0))
     if abs(value.imag) > _SLOPE_IMAG_REL * scale:
         raise NotReal(f"slope has imaginary residue {value.imag:.3e} at scale {scale:.3e}")
     return SlopeValue.finite(value.real)
 
 
-def _slope_zero_tol(slope_data: SlopeData, value: SlopeValue) -> float:
+def _slope_zero_tol(slope_data: SlopeData, value: float | np.ndarray) -> float | np.ndarray:
+    """The tolerance below which a finite slope value (or each of an array of
+    them) has sign 0."""
     k1 = float(np.sum(np.abs(np.array(slope_data.k_class, dtype=np.float64))))
-    return _SLOPE_ZERO_REL * (1.0 + k1 + (abs(value.value) if value.is_finite else 0.0))
+    return _SLOPE_ZERO_REL * (1.0 + k1 + np.abs(value))
+
+
+def slope_signs(slope_data: SlopeData, coef: np.ndarray,
+                tau: float = DEFAULT_TAU) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The slope's sign at a batch of points, from the base's coefficient rows
+    (numerator_coefficients or seifert_coefficients).
+
+    Builds every E(omega) from the same array and solves them with one
+    solve_many.  Returns (sign, infinite, ok); an infinite slope has sign 0.
+    Rows with ok False are those on which slope raises or the SVD failed;
+    their other entries are meaningless.
+    """
+    k = np.array(slope_data.k_class, dtype=np.complex128)
+    e = slope_matrices(slope_data, coef)
+    sols = solve_many(e, np.broadcast_to(k, e.shape[:2]), tau)
+    value, ambiguous, scale = _slope_rows(k, sols, tau)
+    with np.errstate(invalid="ignore"):
+        real = np.isfinite(value) & (np.abs(value.imag) <= _SLOPE_IMAG_REL * scale)
+        sign = np.where(np.abs(value.real) <= _slope_zero_tol(slope_data, value.real), 0,
+                        np.where(value.real > 0, 1, -1))
+    infinite = ~sols.solvable
+    ok = sols.ok & (infinite | (~ambiguous & real))
+    return np.where(infinite, 0, sign), infinite, ok
 
 
 @dataclass(frozen=True)
@@ -182,19 +230,13 @@ class FaceParts:
         return self.sublink_inertia.signature + self.slope_sign
 
 
-def face_parts(link: ColoredLinkData, slope_data: SlopeData, point: TorusPoint,
-               tau: float = DEFAULT_TAU) -> FaceParts:
-    """Validate the face hypotheses and evaluate both terms of the formula."""
-    if point.mu != link.mu:
-        raise InvalidInput(f"point arity {point.mu} != link mu {link.mu}")
+def check_face_hypotheses(link: ColoredLinkData, slope_data: SlopeData) -> None:
+    """Raise InvalidInput unless the link-level hypotheses of the face
+    formula hold: the distinguished color is at most mu, the distinguished
+    components do not link the others, and the base has arity mu - 1."""
     dist = slope_data.distinguished_color
     if dist > link.mu:
         raise InvalidInput(f"distinguished color {dist} exceeds mu {link.mu}")
-    ones = point.unit_coordinates()
-    if ones != (dist,):
-        raise InvalidInput(
-            f"face evaluation needs exactly the distinguished coordinate {dist} equal to 1, got {ones}"
-        )
     mine = link.components_of_color(dist)
     others = [cid for cid, c in link.components if c != dist]
     bad = [(a, b) for a in mine for b in others if link.lk(a, b) != 0]
@@ -202,11 +244,25 @@ def face_parts(link: ColoredLinkData, slope_data: SlopeData, point: TorusPoint,
         raise InvalidInput(f"nonzero linking between the distinguished component and {bad}")
     if slope_data.base.mu != link.mu - 1:
         raise InvalidInput("slope base arity must be mu - 1")
+
+
+def face_parts(link: ColoredLinkData, slope_data: SlopeData, point: TorusPoint,
+               tau: float = DEFAULT_TAU) -> FaceParts:
+    """Validate the face hypotheses and evaluate both terms of the formula."""
+    if point.mu != link.mu:
+        raise InvalidInput(f"point arity {point.mu} != link mu {link.mu}")
+    check_face_hypotheses(link, slope_data)
+    dist = slope_data.distinguished_color
+    ones = point.unit_coordinates()
+    if ones != (dist,):
+        raise InvalidInput(
+            f"face evaluation needs exactly the distinguished coordinate {dist} equal to 1, got {ones}"
+        )
     sub_point = point.drop(dist)
     h, scale = hermitian_with_scale(slope_data.base, sub_point)
     sub = inertia(h, tau, scale=scale)
     value = slope(slope_data, sub_point, tau)
-    sign = value.sign(_slope_zero_tol(slope_data, value))
+    sign = value.sign(_slope_zero_tol(slope_data, value.value))
     return FaceParts(sub, value, sign)
 
 

@@ -1,16 +1,24 @@
 """Torus sampling: grids, signature/nullity sweeps, reports.
 
 Points are generated in deterministic lexicographic order and records come
-back in the order of the points.  Interior points are evaluated in chunks:
-one coefficient array per chunk, one einsum for the Hermitian forms and one
-batched eigvalsh call.  A grid or root lattice is chunked by slicing, so a
-chunk's integer numerators k (turns k/n) come from index arithmetic.  A
-coordinate counts as 1 iff its stored rational turn is 0 (numerator 0) -
-never by float comparison.
+back in the order of the points.  Points are evaluated in chunks.  Each
+chunk is classified once from the integer numerators k of its turns k/d
+(denominator_groups: a grid or root lattice is one group, sliced by index
+arithmetic; a list is grouped by common denominator).  A coordinate counts
+as 1 iff its numerator is 0 - never by float comparison.
 
-Faces are computable in two cases: one color (omega = 1 via the framed
-linking matrix) and, for more colors, exactly one coordinate equal to 1 with
-matching slope data.  Everything else is Skipped.
+Interior points (no zero numerator) share one coefficient array, one einsum
+for the Hermitian forms and one batched eigvalsh call.  Face points where
+exactly the distinguished coordinate is 1 are batched the same way over the
+slope base: the distinguished column is dropped, one coefficient array gives
+both the sublink forms (one batched eigvalsh) and the slope matrices E(omega)
+(one stacked SVD in solve_many).  The face hypotheses on the link itself are
+checked once per sweep.  Faces are computable in two cases: one color
+(omega = 1 via the framed linking matrix) and, for more colors, exactly one
+coordinate equal to 1 with matching slope data.  Other faces are Skipped.
+Any point a batch cannot classify (a non-finite or non-Hermitian form, an
+ambiguous or non-real slope, a failed solver) is evaluated on its own, so
+its record carries the exact error.
 """
 
 from __future__ import annotations
@@ -25,13 +33,13 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .clink import ColoredLinkData, SlopeData, hermitian_forms, hermitian_with_scale, seifert_coefficients
+from .clink import ColoredLinkData, SlopeData, hermitian_forms, hermitian_with_scale, numerator_coefficients
 from .errors import InvalidInput, LinksigError, MissingSeifertData
 from .hermitian import DEFAULT_TAU, inertia, inertia_many
-from .invariants import face_parts, signature_at_full_one
+from .invariants import check_face_hypotheses, face_parts, signature_at_full_one, slope_signs
 from .laurent import LaurentPoly, eval_many
 from .strata import DEFAULT_TAU_POLY
-from .torus import Lattice, TorusPoint, lattice, turn_formatter
+from .torus import Lattice, TorusPoint, denominator_groups, lattice, turn_formatter
 
 SOURCE_INTERIOR = "Interior"
 SOURCE_FACE = "Face"
@@ -73,6 +81,8 @@ class ConcordanceReport:
     depth: int
     samples: int
     uncertain: int
+    errors: int = 0  # samples that failed to evaluate (flagged EvaluationError)
+    first_error: tuple[TorusPoint, str] | None = None  # the first of them and its exception type
 
 
 def grid(n: int, mu: int, include_faces: bool = False) -> Lattice:
@@ -121,26 +131,73 @@ def _evaluate_point(link: ColoredLinkData, slope_data: SlopeData | None,
                             (FLAG_ERROR, type(exc).__name__))
 
 
-def _evaluate_chunk(link: ColoredLinkData, slope_data: SlopeData | None,
+def _numerator_groups(chunk: Sequence[TorusPoint], points: list[TorusPoint],
+                      mu: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    # denominator_groups of the chunk's points of arity mu, rows indexing points
+    if isinstance(chunk, Lattice):
+        return denominator_groups(chunk) if chunk.mu == mu else []
+    same = [i for i, pt in enumerate(points) if pt.mu == mu]
+    return [(d, np.asarray(same)[rows], nums)
+            for d, rows, nums in denominator_groups([points[i] for i in same])]
+
+
+def _evaluate_chunk(link: ColoredLinkData, slope_data: SlopeData | None, batch_faces: bool,
                     chunk: Sequence[TorusPoint], tau: float) -> list[SampleRecord]:
-    # interior points in one batch; the rest, and any form the batch cannot
-    # classify, through _evaluate_point
+    # Rows are classified by their zero numerators.  Interior rows are one
+    # batch of forms; face rows with exactly the distinguished coordinate 1 are
+    # one batch when batch_faces (the link-level face hypotheses hold); other
+    # face and multi-one rows are skipped here.  The rest, and any row a batch
+    # cannot classify, go through _evaluate_point.
     points = list(chunk)
-    by_numerators = isinstance(chunk, Lattice)
-    if by_numerators:
-        interior = np.flatnonzero(chunk.numerators().all(axis=1)).tolist() if chunk.mu == link.mu else []
-    else:
-        interior = [i for i, pt in enumerate(points) if pt.mu == link.mu and all(pt.turns)]
     records: list[SampleRecord | None] = [None] * len(points)
+    dist = slope_data.distinguished_color if slope_data is not None else 0
+    interior: list[tuple[np.ndarray, np.ndarray]] = []
+    face: list[tuple[np.ndarray, np.ndarray]] = []
+    for d, rows, nums in _numerator_groups(chunk, points, link.mu):
+        zero = nums == 0
+        count = zero.sum(axis=1)
+        inner = count == 0
+        if inner.any():
+            interior.append((rows[inner], numerator_coefficients(d, nums[inner])))
+        if link.mu == 1:
+            continue  # omega = 1 through the linking matrix, per point
+        at_dist = (count == 1) & zero[:, dist - 1] if 1 <= dist <= link.mu else np.zeros_like(inner)
+        if batch_faces and at_dist.any():
+            face.append((rows[at_dist], numerator_coefficients(d, np.delete(nums[at_dist], dist - 1, axis=1))))
+        for i in rows[(count == 1) & ~at_dist].tolist():
+            records[i] = SampleRecord(points[i], None, None, SOURCE_SKIPPED, True, (FLAG_FACE_UNAVAILABLE,))
+        for i in rows[count > 1].tolist():
+            records[i] = SampleRecord(points[i], None, None, SOURCE_SKIPPED, True)
     if interior:
-        coef = (seifert_coefficients(link.mu, chunk)[interior] if by_numerators
-                else seifert_coefficients(link.mu, [points[i] for i in interior]))
+        rows, coef = map(np.concatenate, zip(*interior))
         h, scale = hermitian_forms(link, coef)
-        results = zip(interior, *(col.tolist() for col in inertia_many(h, scale, tau)))
+        results = zip(rows.tolist(), *(col.tolist() for col in inertia_many(h, scale, tau)))
         for i, sigma, eta, certified, ok in results:
             if ok:
                 records[i] = SampleRecord(points[i], sigma, eta, SOURCE_INTERIOR, certified)
+    if face:
+        rows, coef = map(np.concatenate, zip(*face))
+        h, scale = hermitian_forms(slope_data.base, coef)
+        sigma, _, certified, ok = inertia_many(h, scale, tau)
+        sign, infinite, slope_ok = slope_signs(slope_data, coef, tau)
+        results = zip(rows.tolist(), (sigma + sign).tolist(), certified.tolist(),
+                      infinite.tolist(), (ok & slope_ok).tolist())
+        for i, sigma, certified, inf, ok in results:
+            if ok:
+                records[i] = SampleRecord(points[i], sigma, None, SOURCE_FACE, certified,
+                                          (FLAG_INFINITE_SLOPE,) if inf else ())
     return [rec or _evaluate_point(link, slope_data, pt, tau) for pt, rec in zip(points, records)]
+
+
+def _faces_hold(link: ColoredLinkData, slope_data: SlopeData | None) -> bool:
+    # whether there is slope data whose link-level face hypotheses hold
+    if slope_data is None or link.mu == 1:
+        return False
+    try:
+        check_face_hypotheses(link, slope_data)
+    except InvalidInput:
+        return False
+    return True
 
 
 def sample_map(link: ColoredLinkData, points: Iterable[TorusPoint],
@@ -151,9 +208,10 @@ def sample_map(link: ColoredLinkData, points: Iterable[TorusPoint],
     size = max(1, min(_CHUNK_POINTS, _CHUNK_ENTRIES // max(1, link.g ** 2)))
     if not isinstance(points, Sequence):
         points = list(points)
+    batch_faces = _faces_hold(link, slope_data)
     records = []
     for b in range(0, len(points), size):
-        records += _evaluate_chunk(link, slope_data, points[b:b + size], tau)
+        records += _evaluate_chunk(link, slope_data, batch_faces, points[b:b + size], tau)
     return records
 
 
@@ -241,11 +299,13 @@ def concordance_report(link: ColoredLinkData, slope_data: SlopeData | None,
 
     A certified nonzero signature at a point whose coordinates are p^d-th
     roots of unity separates the link from its mirror (whose signature is the
-    negative).  No witness means the test is inconclusive.
+    negative).  No witness means the test is inconclusive.  Samples that
+    failed to evaluate are counted as errors, with the first of them.
     """
     records = sample_map(link, tbang_points(p, d, link.mu), slope_data, tau)
     witnesses = []
     uncertain = 0
+    failed = [rec for rec in records if FLAG_ERROR in rec.flags]
     for rec in records:
         if rec.source == SOURCE_SKIPPED or rec.sigma is None:
             continue
@@ -255,7 +315,9 @@ def concordance_report(link: ColoredLinkData, slope_data: SlopeData | None,
         if rec.sigma != 0:
             witnesses.append((rec.point, rec.sigma))
     verdict = "Obstructed" if witnesses else "Inconclusive"
-    return ConcordanceReport(verdict, tuple(witnesses), p, d, len(records), uncertain)
+    first_error = (failed[0].point, failed[0].flags[1]) if failed else None
+    return ConcordanceReport(verdict, tuple(witnesses), p, d, len(records), uncertain,
+                             len(failed), first_error)
 
 
 # -- output formats --------------------------------------------------------------

@@ -11,7 +11,8 @@ import pytest
 import linksig.cli
 from linksig.catalog import get
 from linksig.cli import main
-from linksig.clink import load_link, slope_from_dict
+from linksig.clink import load_link, load_slope, slope_from_dict
+from linksig.sampler import FLAG_ERROR, sample_map, tbang_points
 
 
 @pytest.fixture
@@ -285,6 +286,28 @@ def test_overflowing_slope_is_a_numerical_failure(exported):
         r = records[("0", q2, q3)]
         assert (r["sigma"], r["source"], r["certified"]) == (None, "Skipped", False)
         assert r["flags"] == ["EvaluationError", "EigensolverFailure"]
+
+
+def test_report_exits_4_on_samples_that_failed(exported):
+    # with the slope base of l(1) scaled by 10**307, 16 face samples of the
+    # report fail; stdout keeps the report, and one stderr line names them
+    data = json.loads((exported["dir"] / "l_1.slope.json").read_text())
+    data["base"]["seifert"] = {key: [[10**307 * x for x in row] for row in m]
+                               for key, m in data["base"]["seifert"].items()}
+    path = exported["dir"] / "huge.slope.json"
+    path.write_text(json.dumps(data))
+    src = os.path.dirname(os.path.dirname(linksig.cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "linksig.cli", "report", exported["link"], "--slope", str(path),
+                           "--prime", "3", "--depth", "2"],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 4
+    assert proc.stdout == "INCONCLUSIVE\nsamples=729 uncertain=0\n"
+    assert proc.stderr == ("numerical failure: 16 of 729 samples failed to evaluate; "
+                           "the first at (0, 1/3, 1/3): EigensolverFailure\n")
+    records = sample_map(load_link(exported["link"]), tbang_points(3, 2, 3), load_slope(str(path)))
+    failed = [rec for rec in records if rec.flags[:1] == (FLAG_ERROR,)]
+    assert len(failed) == 16 and str(failed[0].point) == "(0, 1/3, 1/3)"
+    assert all(rec.flags == (FLAG_ERROR, "EigensolverFailure") for rec in failed)
 
 
 def test_sigmap_ppm_rejects_arity_before_sweeping(exported, monkeypatch, capsys):

@@ -12,6 +12,7 @@ from linksig.hermitian import (
     inertia,
     inertia_many,
     solve,
+    solve_many,
 )
 
 from conftest import random_hermitian
@@ -289,6 +290,52 @@ def test_solve_rejects_nonfinite(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", fail)
     with pytest.raises(EigensolverFailure):
         solve(np.eye(2), np.ones(2))
+
+
+def _same_result(a, b) -> bool:
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, NoSolution):
+        return True
+    if isinstance(a, NonUnique) and not np.array_equal(a.kernel_basis, b.kernel_basis):
+        return False
+    return np.array_equal(a.alpha, b.alpha)
+
+
+def test_solve_many_matches_solve_row_by_row(nprng):
+    kinds = set()
+    for n in range(1, 6):
+        m, b = [], []
+        for _ in range(40):
+            r = int(nprng.integers(0, n + 1))
+            a = _rank_deficient_system(nprng, n, r)
+            x = nprng.uniform(-1, 1, n) + 1j * nprng.uniform(-1, 1, n)
+            m.append(a)
+            b.append(a @ x if nprng.random() < 0.6 else x)  # in the range, or most likely outside
+        m, b = np.array(m).reshape(40, n, n), np.array(b).reshape(40, n)
+        sols = solve_many(m, b)
+        assert sols.ok.all()
+        for i in range(40):
+            expected = solve(m[i], b[i])
+            assert _same_result(sols.result(i), expected), (n, i)
+            kinds.add(type(expected).__name__)
+        # non-finite rows are marked and leave the others as they were
+        m[3, 0, 0] = np.nan
+        b[7, 0] = np.inf
+        marked = solve_many(m, b)
+        assert np.flatnonzero(~marked.ok).tolist() == [3, 7]
+        assert all(_same_result(marked.result(i), sols.result(i)) for i in range(40) if i not in (3, 7))
+    assert kinds == {"Solution", "NoSolution", "NonUnique"}
+    empty = solve_many(np.zeros((2, 0, 0)), np.zeros((2, 0)))
+    assert all(_same_result(empty.result(i), solve(np.zeros((0, 0)), np.zeros(0))) for i in range(2))
+
+
+def test_solve_many_marks_every_row_when_the_svd_fails(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    assert not solve_many(np.array([np.eye(2), np.eye(2)]), np.ones((2, 2))).ok.any()
 
 
 def test_inertia_rejects_overflowing_symmetrisation():

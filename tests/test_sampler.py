@@ -194,6 +194,21 @@ def test_concordance_witnesses_reverify():
     assert [r.sigma for r in again] == [s for _, s in rep.witnesses]
 
 
+@pytest.mark.parametrize("key", ["l(1)", "l(2)", "l(3)"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_concordance_report_matches_the_closed_form(key, d):
+    # at the 3^d-th roots of unity the interior signature of l(n) is 0 and
+    # every face with omega_1 = 1 has the closed-form signature, so the
+    # witnesses are exactly the faces where that is nonzero
+    entry = get(key)
+    rep = concordance_report(entry.link, entry.slope, 3, d)
+    n = 3**d
+    faces = (TorusPoint.of(0, Fraction(k2, n), Fraction(k3, n)) for k2 in range(1, n) for k3 in range(1, n))
+    expected = [(pt, ln_face_sigma(pt.drop(1))) for pt in faces]
+    assert list(rep.witnesses) == [(pt, s) for pt, s in expected if s != 0]
+    assert (rep.verdict, rep.samples, rep.uncertain, rep.errors) == ("Obstructed", n**3, 0, 0)
+
+
 def test_csv_format():
     entry = get("t24")
     recs = sample_map(entry.link, grid(2, 2, include_faces=True))
