@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Mapping, Sequence
@@ -43,6 +45,38 @@ def parse_sign_key(key: str, mu: int) -> SignVector:
     return tuple(1 if ch == "+" else -1 for ch in key)
 
 
+def strict_int(value, what: str) -> int:
+    """value as an int: integers only (operator.index), bools refused, so a
+    float or a string is an error rather than a truncated value."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidInput(f"{what} must be an integer, not {type(value).__name__}")
+
+
+def _float_sized_int(value, what: str) -> int:
+    # an integer that also fits a float, as the numeric code needs
+    x = strict_int(value, what)
+    try:
+        float(x)
+    except OverflowError:
+        raise InvalidInput(f"{what} of {x.bit_length()} bits does not fit a float") from None
+    return x
+
+
+@contextmanager
+def malformed_record(kind: str):
+    """Turn the errors a malformed JSON record raises while it is read into InvalidInput."""
+    try:
+        yield
+    except KeyError as exc:
+        raise InvalidInput(f"{kind} record missing field: {exc}") from exc
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise InvalidInput(f"malformed {kind} record: {exc}") from exc
+
+
 def _as_int_matrix(rows, g: int, context: str) -> IntMatrix:
     if len(rows) != g:
         raise InvalidInput(f"{context}: expected {g} rows, got {len(rows)}")
@@ -50,7 +84,7 @@ def _as_int_matrix(rows, g: int, context: str) -> IntMatrix:
     for row in rows:
         if len(row) != g:
             raise InvalidInput(f"{context}: expected {g} columns, got {len(row)}")
-        out.append(tuple(int(x) for x in row))
+        out.append(tuple(_float_sized_int(x, f"{context} entry") for x in row))
     return tuple(out)
 
 
@@ -72,9 +106,10 @@ class ColoredLinkData:
     conway: LaurentPoly | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mu", strict_int(self.mu, "mu"))
         if self.mu < 1:
             raise InvalidInput("mu must be >= 1")
-        comps = tuple((str(cid), int(color)) for cid, color in self.components)
+        comps = tuple((str(cid), strict_int(color, f"color of {cid}")) for cid, color in self.components)
         ids = [cid for cid, _ in comps]
         if len(set(ids)) != len(ids):
             raise InvalidInput("duplicate component ids")
@@ -101,7 +136,7 @@ class ColoredLinkData:
             if a == b:
                 raise InvalidInput(f"linking diagonal must be absent/zero, got key ({a},{b})")
             pair = (a, b) if a < b else (b, a)
-            value = int(value)
+            value = strict_int(value, f"linking value of {pair}")
             if pair in linking and linking[pair] != value:
                 raise InvalidInput(f"conflicting linking values for {pair}")
             if value != 0:
@@ -111,7 +146,7 @@ class ColoredLinkData:
         if (self.seifert is None) != (self.g is None):
             raise InvalidInput("g and seifert must be supplied together")
         if self.seifert is not None:
-            g = int(self.g)
+            g = strict_int(self.g, "g")
             if g < 0:
                 raise InvalidInput("g must be >= 0")
             matrices: dict[SignVector, IntMatrix] = {}
@@ -279,10 +314,11 @@ class SlopeData:
     def __post_init__(self) -> None:
         if not self.base.has_seifert():
             raise InvalidInput("slope base link needs Seifert data")
-        k = tuple(int(x) for x in self.k_class)
+        k = tuple(_float_sized_int(x, "k_class entry") for x in self.k_class)
         if len(k) != self.base.g:
             raise InvalidInput(f"k_class length {len(k)} != base rank {self.base.g}")
         object.__setattr__(self, "k_class", k)
+        object.__setattr__(self, "distinguished_color", strict_int(self.distinguished_color, "distinguished_color"))
         if self.distinguished_color < 1:
             raise InvalidInput("distinguished_color must be >= 1")
 
@@ -290,7 +326,9 @@ class SlopeData:
 def slope_matrix_at(slope_data: SlopeData, point: TorusPoint) -> np.ndarray:
     """E(omega) = sum_eps prod_i (1 - omega_i^{eps_i})^{-1} A^eps over the base.
 
-    Entries that overflow come back non-finite, and solve rejects them.
+    Entries that overflow come back non-finite, and solve rejects them.  A
+    product that underflows to 0 has the inverse numpy gives for 1 / 0j
+    (inf + nan j), as in slope_matrices.
     """
     base = slope_data.base
     if point.mu != base.mu:
@@ -302,7 +340,7 @@ def slope_matrix_at(slope_data: SlopeData, point: TorusPoint) -> np.ndarray:
     e_mat = np.zeros(stack.shape[1:], dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         for c, a in zip(reversed(_coefficient_products(point)), stack):
-            e_mat += (1.0 / c) * a
+            e_mat += (1.0 / c if c else complex(math.inf, math.nan)) * a
     return e_mat
 
 
@@ -393,33 +431,29 @@ def link_to_dict(link: ColoredLinkData) -> dict:
 
 
 def link_from_dict(data: dict) -> ColoredLinkData:
-    try:
-        mu = int(data["mu"])
-        components = tuple((str(c["id"]), int(c["color"])) for c in data["components"])
-    except (KeyError, TypeError) as exc:
-        raise InvalidInput(f"link record missing field: {exc}") from exc
-    linking_raw = data.get("linking", {})
-    linking: dict[tuple[str, str], int] = {}
-    for key, value in linking_raw.items():
-        parts = key.split(",")
-        if len(parts) != 2:
-            raise InvalidInput(f"linking key {key!r} is not 'id1,id2'")
-        a, b = parts[0].strip(), parts[1].strip()
-        linking[(a, b) if a < b else (b, a)] = int(value)
-    seifert = data.get("seifert")
-    g = data.get("g")
-    alexander = data.get("alexander")
-    conway = data.get("conway")
-    return ColoredLinkData(
-        name=str(data.get("name", "")),
-        mu=mu,
-        components=components,
-        linking=linking,
-        g=int(g) if g is not None else None,
-        seifert={k: v for k, v in seifert.items()} if seifert is not None else None,
-        alexander=parse_poly(alexander, mu=mu) if alexander else None,
-        conway=parse_poly(conway, mu=mu, half_step=True) if conway else None,
-    )
+    with malformed_record("link"):
+        mu = strict_int(data["mu"], "mu")
+        components = tuple((str(c["id"]), c["color"]) for c in data["components"])
+        linking: dict[tuple[str, str], int] = {}
+        for key, value in data.get("linking", {}).items():
+            parts = key.split(",")
+            if len(parts) != 2:
+                raise InvalidInput(f"linking key {key!r} is not 'id1,id2'")
+            a, b = parts[0].strip(), parts[1].strip()
+            linking[(a, b) if a < b else (b, a)] = value
+        seifert = data.get("seifert")
+        alexander = data.get("alexander")
+        conway = data.get("conway")
+        return ColoredLinkData(
+            name=str(data.get("name", "")),
+            mu=mu,
+            components=components,
+            linking=linking,
+            g=data.get("g"),
+            seifert={k: v for k, v in seifert.items()} if seifert is not None else None,
+            alexander=parse_poly(alexander, mu=mu) if alexander else None,
+            conway=parse_poly(conway, mu=mu, half_step=True) if conway else None,
+        )
 
 
 def slope_to_dict(slope_data: SlopeData) -> dict:
@@ -431,14 +465,12 @@ def slope_to_dict(slope_data: SlopeData) -> dict:
 
 
 def slope_from_dict(data: dict) -> SlopeData:
-    try:
+    with malformed_record("slope"):
         return SlopeData(
             base=link_from_dict(data["base"]),
-            k_class=tuple(int(x) for x in data["k_class"]),
-            distinguished_color=int(data["distinguished_color"]),
+            k_class=tuple(data["k_class"]),
+            distinguished_color=data["distinguished_color"],
         )
-    except (KeyError, TypeError) as exc:
-        raise InvalidInput(f"slope record missing field: {exc}") from exc
 
 
 def load_link(path: str) -> ColoredLinkData:

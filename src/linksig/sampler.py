@@ -28,8 +28,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .clink import ColoredLinkData, SlopeData, hermitian_forms, hermitian_with_s
 from .errors import InvalidInput, LinksigError, MissingSeifertData
 from .hermitian import DEFAULT_TAU, inertia, inertia_many
 from .invariants import check_face_hypotheses, face_parts, signature_at_full_one, slope_signs
-from .laurent import LaurentPoly, eval_many
+from .laurent import LaurentPoly, eval_numerators
 from .strata import DEFAULT_TAU_POLY
 from .torus import Lattice, TorusPoint, denominator_groups, lattice, turn_formatter
 
@@ -215,36 +214,6 @@ def sample_map(link: ColoredLinkData, points: Iterable[TorusPoint],
     return records
 
 
-def _axis_neighbors(point: TorusPoint, n: int, mu1_full_circle: bool) -> Iterator[tuple[TorusPoint, TorusPoint]]:
-    # consecutive nodes along each axis; one-color sweeps wrap the circle
-    for axis in range(point.mu):
-        k = point.turns[axis] * n
-        if k.denominator != 1:
-            raise InvalidInput("constancy check expects grid points with turns k/n")
-        k = int(k)
-        nxt = k + 1
-        if mu1_full_circle:
-            nxt %= n
-        elif nxt >= n:
-            continue
-        turns = list(point.turns)
-        turns[axis] = Fraction(nxt, n)
-        yield point, TorusPoint(tuple(turns))
-
-
-def _midpoint(a: TorusPoint, b: TorusPoint) -> TorusPoint:
-    turns = []
-    for qa, qb in zip(a.turns, b.turns):
-        if qa == qb:
-            turns.append(qa)
-        else:
-            delta = (qb - qa) % 1
-            if delta > Fraction(1, 2):
-                delta -= 1
-            turns.append((qa + delta / 2) % 1)
-    return TorusPoint(tuple(turns))
-
-
 def constancy_check(link: ColoredLinkData, hosokawa_poly: LaurentPoly, n: int,
                     tau: float = DEFAULT_TAU,
                     tau_poly: float = DEFAULT_TAU_POLY) -> list[ConstancyViolation]:
@@ -253,44 +222,45 @@ def constancy_check(link: ColoredLinkData, hosokawa_poly: LaurentPoly, n: int,
     Adjacent grid samples (along axes; the full circle for one color,
     including omega = 1 through the linking-matrix value) must agree whenever
     the polynomial is safely nonzero at both nodes and at the midpoint.
-    Uncertain samples are left out.  Returns the violations found.
+    Uncertain samples are left out.  Returns the violations found, ordered by
+    the grid position of point_a, then by axis; point_b is the next node after
+    point_a along the axis (for one color, turn 0 follows (n-1)/n).
     """
     if hosokawa_poly.mu != link.mu:
         raise InvalidInput("polynomial arity does not match the link")
-    mu1 = link.mu == 1
-    records = sample_map(link, grid(n, link.mu, include_faces=mu1), None, tau)
-    by_point = {rec.point: rec for rec in records}
-    mass = 1 + hosokawa_poly.coefficient_mass()
-    cut = 10 * tau_poly * mass
+    points = grid(n, link.mu, include_faces=link.mu == 1)
+    records = sample_map(link, points, None, tau)
+    known = np.array([rec.sigma is not None and rec.certified for rec in records])
+    sigma = np.array([rec.sigma or 0 for rec in records])
+    index = np.arange(len(points)).reshape((n - points.start,) * link.mu)
 
-    # the certified neighbouring pairs whose signatures differ
-    pairs = []
-    seen = set()
-    for rec in records:
-        for a, b in _axis_neighbors(rec.point, n, mu1):
-            key = (a, b) if a.turns <= b.turns else (b, a)
-            if key in seen:
-                continue
-            seen.add(key)
-            ra, rb = by_point.get(a), by_point.get(b)
-            if ra is None or rb is None:
-                continue
-            if ra.sigma is None or rb.sigma is None or not (ra.certified and rb.certified):
-                continue
-            if ra.sigma != rb.sigma:
-                pairs.append((ra, rb))
-    if not pairs:
+    # the certified pairs (node, next node along the axis) whose signatures differ
+    edges = []
+    for axis in range(link.mu):
+        if link.mu == 1:  # the circle wraps; at n = 2 its two edges are one pair
+            a = index[:1] if n == 2 else index
+            b = (a + 1) % n
+        else:
+            a, b = np.delete(index, -1, axis).ravel(), np.delete(index, 0, axis).ravel()
+        jump = known[a] & known[b] & (sigma[a] != sigma[b])
+        edges.append((a[jump], b[jump], np.full(jump.sum(), axis)))
+    a, b, axis = map(np.concatenate, zip(*edges))
+    if not len(a):
         return []
 
-    def nonzero(points: list[TorusPoint]) -> list[bool]:
-        z = eval_many(hosokawa_poly, points)
-        return (np.hypot(z.real, z.imag) > cut).tolist()  # abs(complex) bit for bit
-
-    nodes = list({pt: None for ra, rb in pairs for pt in (ra.point, rb.point)})
-    node_ok = dict(zip(nodes, nonzero(nodes)))
-    mid_ok = nonzero([_midpoint(ra.point, rb.point) for ra, rb in pairs])
-    return [ConstancyViolation(ra.point, rb.point, ra.sigma, rb.sigma)
-            for (ra, rb), ok in zip(pairs, mid_ok) if ok and node_ok[ra.point] and node_ok[rb.point]]
+    # the polynomial at the nodes and at the edge midpoints, turn (2k + 1) / 2n on the axis
+    cut = 10 * tau_poly * (1 + hosokawa_poly.coefficient_mass())
+    nums = points.numerators()
+    mids = 2 * nums[a]
+    mids[np.arange(len(a)), axis] += 1
+    node_z = eval_numerators(hosokawa_poly, n, nums)
+    mid_z = eval_numerators(hosokawa_poly, 2 * n, mids)
+    node_ok = np.hypot(node_z.real, node_z.imag) > cut  # abs(complex) bit for bit
+    ok = node_ok[a] & node_ok[b] & (np.hypot(mid_z.real, mid_z.imag) > cut)
+    a, b, axis = a[ok], b[ok], axis[ok]
+    order = np.lexsort((axis, a))
+    return [ConstancyViolation(records[i].point, records[j].point, records[i].sigma, records[j].sigma)
+            for i, j in zip(a[order].tolist(), b[order].tolist())]
 
 
 def concordance_report(link: ColoredLinkData, slope_data: SlopeData | None,

@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .clink import malformed_record, strict_int
 from .errors import BasePoint, InvalidInput
 from .laurent import LaurentPoly, eval_at, eval_numerators, format_poly, gcd_many, parse_poly, unit_normalize
 from .torus import TorusPoint, denominator_groups
@@ -223,17 +224,14 @@ def presentation_to_dict(p: PresentationMatrix) -> dict:
 
 
 def presentation_from_dict(data: dict) -> PresentationMatrix:
-    try:
-        mu = int(data["mu"])
-        entries = data["entries"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidInput(f"presentation record missing field: {exc}") from exc
-    rows = [[parse_poly(text, mu=mu) for text in row] for row in entries]
-    p = PresentationMatrix(mu, rows)
-    if "n_relations" in data and int(data["n_relations"]) != p.n_relations:
-        raise InvalidInput(f"n_relations={data['n_relations']} does not match {p.n_relations} rows")
-    if "m_generators" in data and int(data["m_generators"]) != p.m_generators:
-        raise InvalidInput(f"m_generators={data['m_generators']} does not match {p.m_generators} columns")
+    with malformed_record("presentation"):
+        mu = strict_int(data["mu"], "mu")
+        rows = [[parse_poly(text, mu=mu) for text in row] for row in data["entries"]]
+        p = PresentationMatrix(mu, rows)
+        if "n_relations" in data and strict_int(data["n_relations"], "n_relations") != p.n_relations:
+            raise InvalidInput(f"n_relations={data['n_relations']} does not match {p.n_relations} rows")
+        if "m_generators" in data and strict_int(data["m_generators"], "m_generators") != p.m_generators:
+            raise InvalidInput(f"m_generators={data['m_generators']} does not match {p.m_generators} columns")
     return p
 
 

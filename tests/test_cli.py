@@ -185,6 +185,57 @@ def test_invalid_inputs_exit_2(tmp_path, capsys):
     assert main(["sigmap", str(schema), "--grid", "4"]) == 2
 
 
+def _set(keys, value):
+    # an edit that puts value at the path of keys and indices in a document
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return edit
+
+
+_LINK = ["sigmap", "{}", "--grid", "3"]
+_LINK_POLY = ["hosokawa", "{}"]
+_SLOPE = ["slope", "{}", "--omega", "1/4,1/4"]
+_PRESENTATION = ["ideals", "{}", "--omega", "1/3,1/3,1/3,1/3"]
+
+
+@pytest.mark.parametrize("key,suffix,edit,argv", [
+    pytest.param("hopf1", "link", _set(["mu"], "abc"), _LINK, id="mu-text"),
+    pytest.param("hopf1", "link", _set(["mu"], 1.7), _LINK, id="mu-float"),
+    pytest.param("hopf1", "link", _set(["components", 0, "color"], True), _LINK, id="color-bool"),
+    pytest.param("hopf1", "link", _set(["g"], 1.0), _LINK, id="g-float"),
+    pytest.param("hopf1", "link", _set(["seifert", "+", 0, 0], "x"), _LINK, id="seifert-text"),
+    pytest.param("hopf1", "link", _set(["seifert", "+", 0, 0], 10**400), _LINK, id="seifert-huge"),
+    pytest.param("hopf1", "link", _set(["seifert", "+", 0, 0], 1.5), _LINK, id="seifert-float"),
+    pytest.param("hopf1", "link", _set(["seifert", "+", 0, 0], True), _LINK, id="seifert-bool"),
+    pytest.param("hopf1", "link", _set(["seifert", "+"], 5), _LINK, id="seifert-not-rows"),
+    pytest.param("t24", "link", _set(["linking"], [1]), _LINK_POLY, id="linking-list"),
+    pytest.param("t24", "link", _set(["linking", "K1,K2"], 1.5), _LINK_POLY, id="linking-float"),
+    pytest.param("t24", "link", _set(["alexander"], 5), _LINK_POLY, id="alexander-number"),
+    pytest.param("l(1)", "slope", _set(["distinguished_color"], "x"), _SLOPE, id="color-text"),
+    pytest.param("l(1)", "slope", _set(["k_class", 0], 10**400), _SLOPE, id="k-class-huge"),
+    pytest.param("l(1)", "slope", _set(["k_class", 0], 1.9), _SLOPE, id="k-class-float"),
+    pytest.param("aug4", "presentation", _set(["entries", 0, 0], 5), _PRESENTATION, id="entry-number"),
+    pytest.param("aug4", "presentation", _set(["entries", 0], 5), _PRESENTATION, id="row-number"),
+    pytest.param("aug4", "presentation", _set(["n_relations"], "x"), _PRESENTATION, id="n-relations-text"),
+    pytest.param("aug4", "presentation", _set(["m_generators"], 4.0), _PRESENTATION, id="m-generators-float"),
+])
+def test_malformed_documents_exit_2(tmp_path, capsys, key, suffix, edit, argv):
+    # a malformed field gives exit 2 and one error line, never a traceback or a truncated value
+    assert main(["catalog", "show", key, "--export", str(tmp_path)]) == 0
+    path = tmp_path / f"{key.replace('(', '_').replace(')', '')}.{suffix}.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([arg.format(path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_ideals_huge_coefficient_exits_2(tmp_path, capsys):
     pres = {"mu": 2, "entries": [[f"{10**400}*t1 - 1"], ["t2 - 1"]]}
     path = tmp_path / "huge.presentation.json"
@@ -286,6 +337,15 @@ def test_overflowing_slope_is_a_numerical_failure(exported):
         r = records[("0", q2, q3)]
         assert (r["sigma"], r["source"], r["certified"]) == (None, "Skipped", False)
         assert r["flags"] == ["EvaluationError", "EigensolverFailure"]
+
+
+def test_underflowing_slope_coefficient_is_a_numerical_failure(exported, capsys):
+    # at turns 1e-200 the product prod_i (1 - omega_i^{eps_i}) underflows to 0
+    capsys.readouterr()
+    assert main(["slope", exported["slope"], "--omega", "1e-200,1e-200"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure:") and captured.err.count("\n") == 1
 
 
 def test_report_exits_4_on_samples_that_failed(exported):

@@ -2,6 +2,7 @@
 
 import os
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 
@@ -10,12 +11,11 @@ from linksig.clink import ColoredLinkData
 from linksig.errors import InvalidInput
 from linksig.laurent import LaurentPoly, eval_at, parse_poly
 from linksig.sampler import (
+    FLAG_ERROR,
     SOURCE_FACE,
     SOURCE_INTERIOR,
     SOURCE_SKIPPED,
     ConstancyViolation,
-    _axis_neighbors,
-    _midpoint,
     concordance_report,
     constancy_check,
     grid,
@@ -103,6 +103,17 @@ def test_sample_map_deterministic_across_workers():
     assert serial == threaded
 
 
+def test_face_with_underflowing_slope_coefficient_is_skipped():
+    # the slope coefficient at turns 1e-200 underflows to 0: the record is an
+    # evaluation error, and the other face of the list is unaffected
+    entry = get("l(1)")
+    pts = [TorusPoint.from_string("0,1e-200,1e-200"), TorusPoint.of(0, Fraction(1, 4), Fraction(1, 4))]
+    failed, face = sample_map(entry.link, pts, entry.slope)
+    assert (failed.sigma, failed.source, failed.certified) == (None, SOURCE_SKIPPED, False)
+    assert failed.flags == (FLAG_ERROR, "EigensolverFailure")
+    assert (face.sigma, face.source) == (1, SOURCE_FACE)
+
+
 def test_mu1_circle_including_one():
     hopf = get("hopf1").link
     recs = sample_map(hopf, grid(24, 1, include_faces=True))
@@ -137,6 +148,36 @@ def test_constancy_flags_fabricated_jump():
     assert violations, "sign changes with a zero-free polynomial must be flagged"
 
 
+def _axis_neighbors(point: TorusPoint, n: int, mu1_full_circle: bool) -> Iterator[tuple[TorusPoint, TorusPoint]]:
+    # consecutive nodes along each axis; one-color sweeps wrap the circle
+    for axis in range(point.mu):
+        k = point.turns[axis] * n
+        if k.denominator != 1:
+            raise InvalidInput("constancy check expects grid points with turns k/n")
+        k = int(k)
+        nxt = k + 1
+        if mu1_full_circle:
+            nxt %= n
+        elif nxt >= n:
+            continue
+        turns = list(point.turns)
+        turns[axis] = Fraction(nxt, n)
+        yield point, TorusPoint(tuple(turns))
+
+
+def _midpoint(a: TorusPoint, b: TorusPoint) -> TorusPoint:
+    turns = []
+    for qa, qb in zip(a.turns, b.turns):
+        if qa == qb:
+            turns.append(qa)
+        else:
+            delta = (qb - qa) % 1
+            if delta > Fraction(1, 2):
+                delta -= 1
+            turns.append((qa + delta / 2) % 1)
+    return TorusPoint(tuple(turns))
+
+
 def _reference_constancy(link, poly, n, tau_poly=1e-8):
     # the per-pair evaluation: every node and midpoint through eval_at
     mu1 = link.mu == 1
@@ -168,6 +209,44 @@ def test_constancy_check_matches_per_pair_reference(key, poly, n):
     link = get(key).link
     p = parse_poly(poly, mu=link.mu)
     assert constancy_check(link, p, n) == _reference_constancy(link, p, n)
+
+
+_TREFOIL = ColoredLinkData("trefoil", 1, (("K", 1),), {}, g=2, seifert={(1,): ((-1, 1), (0, -1))})
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_constancy_check_one_color_jump_matches_reference(n):
+    # the trefoil's signature jumps on the circle; with the polynomial 1 every
+    # jump is a violation, and at n = 2 the wrap edge is the same pair as (0, 1/2)
+    one = LaurentPoly.const(1, 1)
+    violations = constancy_check(_TREFOIL, one, n)
+    assert violations and violations == _reference_constancy(_TREFOIL, one, n)
+    if n == 2:
+        assert violations == [ConstancyViolation(TorusPoint.of(0), TorusPoint.of(Fraction(1, 2)), 0, -2)]
+
+
+@pytest.mark.parametrize("key", ["l(1)", "l(2)", "l(3)"])
+def test_constancy_check_half_step_matches_reference(key):
+    from linksig.invariants import hosokawa_normalized
+
+    link = get(key).link
+    tilde = hosokawa_normalized(link.conway, link)
+    assert tilde.half_step
+    assert constancy_check(link, tilde, 6) == _reference_constancy(link, tilde, 6)
+
+
+@pytest.mark.parametrize("poly,half_step,n", [
+    # l(n) has no interior jump to test; which of t24's jumps count depends on
+    # reading t1*t2 + 1 in half steps (in whole steps its zeros explain them all)
+    ("t1*t2 + 1", True, 8),
+    # the zeros q2 = 1/4, 3/4 are midpoints of edges along the second axis only
+    ("t2^2 + 1", False, 6),
+])
+def test_constancy_check_t24_edges_match_reference(poly, half_step, n):
+    link = get("t24").link
+    p = parse_poly(poly, mu=2, half_step=half_step)
+    violations = constancy_check(link, p, n)
+    assert violations and violations == _reference_constancy(link, p, n)
 
 
 def test_concordance_reports():
