@@ -116,9 +116,11 @@ class ColoredLinkData:
         colors_used = {color for _, color in comps}
         if any(not 1 <= c <= self.mu for c in colors_used):
             raise InvalidInput(f"component colors must lie in 1..{self.mu}")
-        missing = set(range(1, self.mu + 1)) - colors_used
-        if missing:
-            raise InvalidInput(f"colors not used by any component: {sorted(missing)}")
+        unused = self.mu - len(colors_used)  # colors lie in 1..mu
+        if unused:
+            first = [c for c in range(1, min(self.mu, len(colors_used) + 5) + 1) if c not in colors_used][:5]
+            more = f" and {unused - len(first)} more" if unused > len(first) else ""
+            raise InvalidInput(f"colors not used by any component: {first}{more}")
         object.__setattr__(self, "components", comps)
 
         known = set(ids)
@@ -434,13 +436,9 @@ def link_from_dict(data: dict) -> ColoredLinkData:
     with malformed_record("link"):
         mu = strict_int(data["mu"], "mu")
         components = tuple((str(c["id"]), c["color"]) for c in data["components"])
-        linking: dict[tuple[str, str], int] = {}
-        for key, value in data.get("linking", {}).items():
-            parts = key.split(",")
-            if len(parts) != 2:
-                raise InvalidInput(f"linking key {key!r} is not 'id1,id2'")
-            a, b = parts[0].strip(), parts[1].strip()
-            linking[(a, b) if a < b else (b, a)] = value
+        linking = data.get("linking", {})
+        if not isinstance(linking, dict):
+            raise InvalidInput(f"malformed link record: linking is a {type(linking).__name__}, not an object")
         seifert = data.get("seifert")
         alexander = data.get("alexander")
         conway = data.get("conway")

@@ -1,11 +1,11 @@
 """Torus sampling: grids, signature/nullity sweeps, reports.
 
 Points are generated in deterministic lexicographic order and records come
-back in the order of the points.  Points are evaluated in chunks.  Each
-chunk is classified once from the integer numerators k of its turns k/d
-(denominator_groups: a grid or root lattice is one group, sliced by index
-arithmetic; a list is grouped by common denominator).  A coordinate counts
-as 1 iff its numerator is 0 - never by float comparison.
+back in the order of the points.  A sweep groups its points once by the
+integer numerators k of their turns k/d (denominator_groups: a grid or root
+lattice is one group, from index arithmetic; a list is grouped by common
+denominator), then evaluates each group in chunks of rows.  A coordinate
+counts as 1 iff its numerator is 0 - never by float comparison.
 
 Interior points (no zero numerator) share one coefficient array, one einsum
 for the Hermitian forms and one batched eigvalsh call.  Face points where
@@ -28,7 +28,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ _CHUNK_POINTS = 1024
 _CHUNK_ENTRIES = 1 << 18
 
 
-@dataclass(frozen=True)
-class SampleRecord:
+class SampleRecord(NamedTuple):
     point: TorusPoint
     sigma: int | None
     eta: int | None
@@ -130,62 +129,43 @@ def _evaluate_point(link: ColoredLinkData, slope_data: SlopeData | None,
                             (FLAG_ERROR, type(exc).__name__))
 
 
-def _numerator_groups(chunk: Sequence[TorusPoint], points: list[TorusPoint],
-                      mu: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    # denominator_groups of the chunk's points of arity mu, rows indexing points
-    if isinstance(chunk, Lattice):
-        return denominator_groups(chunk) if chunk.mu == mu else []
-    same = [i for i, pt in enumerate(points) if pt.mu == mu]
-    return [(d, np.asarray(same)[rows], nums)
-            for d, rows, nums in denominator_groups([points[i] for i in same])]
-
-
-def _evaluate_chunk(link: ColoredLinkData, slope_data: SlopeData | None, batch_faces: bool,
-                    chunk: Sequence[TorusPoint], tau: float) -> list[SampleRecord]:
-    # Rows are classified by their zero numerators.  Interior rows are one
-    # batch of forms; face rows with exactly the distinguished coordinate 1 are
-    # one batch when batch_faces (the link-level face hypotheses hold); other
-    # face and multi-one rows are skipped here.  The rest, and any row a batch
-    # cannot classify, go through _evaluate_point.
-    points = list(chunk)
-    records: list[SampleRecord | None] = [None] * len(points)
-    dist = slope_data.distinguished_color if slope_data is not None else 0
-    interior: list[tuple[np.ndarray, np.ndarray]] = []
-    face: list[tuple[np.ndarray, np.ndarray]] = []
-    for d, rows, nums in _numerator_groups(chunk, points, link.mu):
-        zero = nums == 0
-        count = zero.sum(axis=1)
-        inner = count == 0
-        if inner.any():
-            interior.append((rows[inner], numerator_coefficients(d, nums[inner])))
-        if link.mu == 1:
-            continue  # omega = 1 through the linking matrix, per point
-        at_dist = (count == 1) & zero[:, dist - 1] if 1 <= dist <= link.mu else np.zeros_like(inner)
-        if batch_faces and at_dist.any():
-            face.append((rows[at_dist], numerator_coefficients(d, np.delete(nums[at_dist], dist - 1, axis=1))))
-        for i in rows[(count == 1) & ~at_dist].tolist():
-            records[i] = SampleRecord(points[i], None, None, SOURCE_SKIPPED, True, (FLAG_FACE_UNAVAILABLE,))
-        for i in rows[count > 1].tolist():
-            records[i] = SampleRecord(points[i], None, None, SOURCE_SKIPPED, True)
-    if interior:
-        rows, coef = map(np.concatenate, zip(*interior))
-        h, scale = hermitian_forms(link, coef)
-        results = zip(rows.tolist(), *(col.tolist() for col in inertia_many(h, scale, tau)))
+def _evaluate_rows(link: ColoredLinkData, slope_data: SlopeData | None, batch_faces: bool,
+                   points: list[TorusPoint], d: int, rows: np.ndarray, nums: np.ndarray,
+                   tau: float, records: list[SampleRecord | None]) -> None:
+    # Fills records[i] for the rows it classifies, points[rows[r]] having the
+    # turns nums[r] / d.  Interior rows are one batch of forms; face rows with
+    # exactly the distinguished coordinate 1 are one batch when batch_faces
+    # (the link-level face hypotheses hold); other face and multi-one rows are
+    # skipped here.  The rest, and any row a batch cannot classify, are left
+    # empty for _evaluate_point.
+    zero = nums == 0
+    count = zero.sum(axis=1)
+    inner = count == 0
+    if inner.any():
+        h, scale = hermitian_forms(link, numerator_coefficients(d, nums[inner]))
+        results = zip(rows[inner].tolist(), *(col.tolist() for col in inertia_many(h, scale, tau)))
         for i, sigma, eta, certified, ok in results:
             if ok:
                 records[i] = SampleRecord(points[i], sigma, eta, SOURCE_INTERIOR, certified)
-    if face:
-        rows, coef = map(np.concatenate, zip(*face))
+    if link.mu == 1:
+        return  # omega = 1 through the linking matrix, per point
+    dist = slope_data.distinguished_color if slope_data is not None else 0
+    at_dist = (count == 1) & zero[:, dist - 1] if 1 <= dist <= link.mu else np.zeros_like(inner)
+    if batch_faces and at_dist.any():
+        coef = numerator_coefficients(d, np.delete(nums[at_dist], dist - 1, axis=1))
         h, scale = hermitian_forms(slope_data.base, coef)
         sigma, _, certified, ok = inertia_many(h, scale, tau)
         sign, infinite, slope_ok = slope_signs(slope_data, coef, tau)
-        results = zip(rows.tolist(), (sigma + sign).tolist(), certified.tolist(),
+        results = zip(rows[at_dist].tolist(), (sigma + sign).tolist(), certified.tolist(),
                       infinite.tolist(), (ok & slope_ok).tolist())
         for i, sigma, certified, inf, ok in results:
             if ok:
                 records[i] = SampleRecord(points[i], sigma, None, SOURCE_FACE, certified,
                                           (FLAG_INFINITE_SLOPE,) if inf else ())
-    return [rec or _evaluate_point(link, slope_data, pt, tau) for pt, rec in zip(points, records)]
+    for i in rows[(count == 1) & ~at_dist].tolist():
+        records[i] = SampleRecord(points[i], None, None, SOURCE_SKIPPED, True, (FLAG_FACE_UNAVAILABLE,))
+    for i in rows[count > 1].tolist():
+        records[i] = SampleRecord(points[i], None, None, SOURCE_SKIPPED, True)
 
 
 def _faces_hold(link: ColoredLinkData, slope_data: SlopeData | None) -> bool:
@@ -205,13 +185,20 @@ def sample_map(link: ColoredLinkData, points: Iterable[TorusPoint],
     if not link.has_seifert():
         raise MissingSeifertData(f"link {link.name!r} has no Seifert data; nothing to sample")
     size = max(1, min(_CHUNK_POINTS, _CHUNK_ENTRIES // max(1, link.g ** 2)))
-    if not isinstance(points, Sequence):
+    if isinstance(points, Lattice) and points.mu == link.mu:
+        groups = denominator_groups(points)
         points = list(points)
+    else:  # the points of the link's arity, grouped by denominator
+        points = list(points)
+        same = np.array([i for i, pt in enumerate(points) if pt.mu == link.mu])
+        groups = [(d, same[rows], nums) for d, rows, nums in denominator_groups([points[i] for i in same])]
     batch_faces = _faces_hold(link, slope_data)
-    records = []
-    for b in range(0, len(points), size):
-        records += _evaluate_chunk(link, slope_data, batch_faces, points[b:b + size], tau)
-    return records
+    records: list[SampleRecord | None] = [None] * len(points)
+    for d, rows, nums in groups:
+        for b in range(0, len(rows), size):
+            _evaluate_rows(link, slope_data, batch_faces, points, d, rows[b:b + size], nums[b:b + size],
+                           tau, records)
+    return [rec or _evaluate_point(link, slope_data, pt, tau) for pt, rec in zip(points, records)]
 
 
 def constancy_check(link: ColoredLinkData, hosokawa_poly: LaurentPoly, n: int,

@@ -5,13 +5,14 @@ Keeping the turns as exact fractions makes face detection (omega_j = 1) a
 matter of q_j == 0, never a floating comparison, and lets evaluation reduce
 angles mod 1 exactly before any float enters the picture.
 
-A lattice of points (Lattice: every turn k/n for one n) is a sequence that
-knows its denominator: the integer numerators k of any slice of it come from
-index arithmetic, and its points are assembled from shared turns k/n without
-normalising each turn again.  Batched evaluation groups points by the common
-denominator d of their turns (denominator_groups; a lattice is one group)
-and reads unit_root(k, d) for integer arrays of k from a table of the
-distinct k (unit_roots).
+A lattice of points (Lattice: every turn k/n for one n <= sys.maxsize) is a
+sequence that knows its denominator: the int64 numerators k of any slice of
+it come from index arithmetic, and its points are assembled from shared
+turns k/n without normalising each turn again (a whole lattice in one
+product over its turns, a slice point by point).  Batched evaluation groups
+points by the common denominator d of their turns (denominator_groups; a
+lattice is one group) and reads unit_root(k, d) for integer arrays of k from
+a table of the distinct k (unit_roots).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -193,20 +194,17 @@ def _normalized_point(turns: tuple[Fraction, ...]) -> TorusPoint:
     return pt
 
 
-# Lattice slices are iterated this many points at a time, so that iterating a
-# large one holds the numerators of one block at a time.
-_ITER_BLOCK = 4096
-
-
 @dataclass(frozen=True)
 class Lattice(Sequence[TorusPoint]):
     """The points with turns k_j/n, start <= k_j < n, lexicographic in (k_1, ..., k_mu).
 
     indices selects positions of the whole lattice (None: all of them);
     indexing with a slice gives the Lattice of those positions.  numerators()
-    gives the integer k_j of the selected points from index arithmetic,
-    without building a point or a Fraction.  A lattice has at most
-    sys.maxsize points, the most a sequence can count.
+    gives the int64 k_j of the selected points from index arithmetic,
+    without building a point or a Fraction.  The whole lattice iterates as
+    one product over its shared turns, a slice point by point.  Both n and
+    the number of points are at most sys.maxsize, the most a sequence can
+    count and an int64 can hold.
     """
 
     n: int
@@ -219,6 +217,8 @@ class Lattice(Sequence[TorusPoint]):
     def __post_init__(self) -> None:
         if self.mu < 1:
             raise InvalidInput("a torus point needs at least one coordinate")
+        if self.n > sys.maxsize:
+            raise InvalidInput(f"lattice too large: denominator above {sys.maxsize}")
         if not 0 <= self.start <= self.n:
             raise InvalidInput(f"lattice start {self.start} outside [0, {self.n}]")
         if (self.n - self.start) ** self.mu > sys.maxsize:
@@ -252,27 +252,18 @@ class Lattice(Sequence[TorusPoint]):
         return q
 
     def __iter__(self) -> Iterator[TorusPoint]:
-        if self.indices == self._whole():  # one product over the shared turn table
-            table = [self._turn(k) for k in range(self.start, self.n)]
-            return map(_normalized_point, product(table, repeat=self.mu))
-        return chain.from_iterable(self[b:b + _ITER_BLOCK]._points()
-                                   for b in range(0, len(self), _ITER_BLOCK))
-
-    def _points(self) -> Iterator[TorusPoint]:
-        ks = self.numerators()
-        keys, inv = np.unique(ks, return_inverse=True)
-        turns = np.array([self._turn(int(k)) for k in keys], dtype=object)
-        return map(_normalized_point, map(tuple, turns[inv.reshape(ks.shape)].tolist()))
+        if self.indices != self._whole():
+            return super().__iter__()
+        table = [self._turn(k) for k in range(self.start, self.n)]
+        return map(_normalized_point, product(table, repeat=self.mu))
 
     def numerators(self) -> np.ndarray:
-        """The (P, mu) array of k_j, int64 for n < 2^63 and Python ints beyond."""
+        """The (P, mu) int64 array of k_j."""
         r = self.indices
-        dtype = np.int64 if self.n < 1 << 63 else object
-        if not r:
-            return np.zeros((0, self.mu), dtype=dtype)
-        flat = np.arange(r.start, r.stop, r.step, dtype=np.intp)
-        ks = np.unravel_index(flat, (self.n - self.start,) * self.mu)
-        return np.stack(ks, axis=1).astype(dtype) + self.start
+        flat = np.arange(r.start, r.stop, r.step, dtype=np.int64)
+        ks = np.stack(np.unravel_index(flat, (self.n - self.start,) * self.mu), axis=1)
+        ks += self.start
+        return ks.astype(np.int64, copy=False)
 
 
 def lattice(n: int, mu: int, start: int = 0) -> Lattice:
@@ -287,12 +278,12 @@ def denominator_groups(points: Sequence[TorusPoint]) -> list[tuple[int, Sequence
     index the group's points in the sequence, and nums[i, j] / d is turn j of
     points[rows[i]], an integer array: int64 for d < 2^63 (numerators lie in
     [0, d)), Python ints in an object array beyond.  The points must share one
-    arity.  A Lattice (or a slice of one) with n < 2^63 is the single group
-    (n, rows, numerators()): its numerators come from index arithmetic, and
-    every consumer reduces k/n to lowest terms (unit_root), so the values are
-    those of the per-point grouping.
+    arity.  A Lattice (or a slice of one; n <= sys.maxsize, so int64) is the
+    single group (n, rows, numerators()): its numerators come from index
+    arithmetic, and every consumer reduces k/n to lowest terms (unit_root),
+    so the values are those of the per-point grouping.
     """
-    if isinstance(points, Lattice) and points.n < 1 << 63:
+    if isinstance(points, Lattice):
         return [(points.n, np.arange(len(points)), points.numerators())] if len(points) else []
     groups: dict[int, list[int]] = {}
     for row, pt in enumerate(points):

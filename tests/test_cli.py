@@ -236,6 +236,26 @@ def test_malformed_documents_exit_2(tmp_path, capsys, key, suffix, edit, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("key,edit", [
+    pytest.param("t24", _set(["linking"], {"K1,K2": 2, "K2,K1": 1}), id="linking-conflict"),
+    pytest.param("t24", _set(["linking"], [["K1,K2", 2]]), id="linking-pairs"),
+    pytest.param("hopf1", _set(["mu"], 300000), id="mu-huge"),
+])
+def test_link_loader_refusals_are_one_short_line(tmp_path, capsys, key, edit):
+    # the loader refuses what ColoredLinkData refuses, and names a few unused colors, not all
+    assert main(["catalog", "show", key, "--export", str(tmp_path)]) == 0
+    path = tmp_path / f"{key}.link.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["hosokawa", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err) < 200
+
+
 def test_ideals_huge_coefficient_exits_2(tmp_path, capsys):
     pres = {"mu": 2, "entries": [[f"{10**400}*t1 - 1"], ["t2 - 1"]]}
     path = tmp_path / "huge.presentation.json"

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from linksig.laurent import (
 )
 from linksig.sampler import tbang_points
 from linksig.strata import PresentationMatrix, stratum_indices
-from linksig.torus import TorusPoint, denominator_groups, lattice
+from linksig.torus import Lattice, TorusPoint, denominator_groups, lattice
 
 from conftest import random_point, random_poly, random_turn
 
@@ -163,23 +164,26 @@ def test_lattice_batches_equal_the_list_path(rng, mu):
 
 
 def test_lattice_batches_with_huge_denominators(rng):
+    n = 2**64  # beyond any lattice: turns k/2^64 go through the per-point grouping
     cases = [
-        (lattice(2**64, 1, 2**64 - 8)[:5], object),  # n = 2^64: the per-point grouping
-        (lattice(2**64, 2, 2**64 - 4)[-9:], object),  # reduced denominators 2^62, 2^63, 2^64
-        (lattice(2**31 + 1, 2, 1)[-3:], np.int64),  # 2^62 points
-        (lattice(3 * (2**61 + 1), 1)[7:10], np.int64),
-        (lattice(3 * (2**61 + 1), 1)[-3:], np.int64),
+        [TorusPoint.of(Fraction(k, n)) for k in range(n - 8, n - 3)],
+        # reduced denominators 2^62, 2^63, 2^64
+        [TorusPoint.of(Fraction(a, n), Fraction(b, n)) for a, b in product(range(n - 4, n), repeat=2)][-9:],
+        lattice(2**31 + 1, 2, 1)[-3:],  # 2^62 points
+        lattice(3 * (2**61 + 1), 1)[7:10],
+        lattice(3 * (2**61 + 1), 1)[-3:],
     ]
-    for points, dtype in cases:
+    for points in cases:
         listed = list(points)
-        nums = points.numerators()
-        assert nums.dtype == dtype
-        assert nums.tolist() == [[int(q * points.n) for q in pt.turns] for pt in listed]
-        assert seifert_coefficients(points.mu, points).tolist() == \
-            seifert_coefficients(points.mu, listed).tolist()
+        if isinstance(points, Lattice):
+            nums = points.numerators()
+            assert nums.dtype == np.int64
+            assert nums.tolist() == [[int(q * points.n) for q in pt.turns] for pt in listed]
+            assert seifert_coefficients(points.mu, points).tolist() == \
+                seifert_coefficients(points.mu, listed).tolist()
         for half_step in (False, True):
             for _ in range(4):
-                p = random_poly(rng, points.mu, max_terms=5, exp_range=(-40, 40),
+                p = random_poly(rng, listed[0].mu, max_terms=5, exp_range=(-40, 40),
                                 coeff_range=(-100, 100), half_step=half_step)
                 assert eval_many(p, points).tolist() == [eval_at(p, pt) for pt in listed]
 

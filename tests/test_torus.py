@@ -88,10 +88,11 @@ def test_lattice_groups_by_its_one_denominator():
 
 
 def test_lattices_beyond_sys_maxsize_points_are_refused():
-    whole = lattice(2**63, 1, 1)  # 2^63 - 1 = sys.maxsize points
+    whole = lattice(2**63 - 1, 1, 0)  # 2^63 - 1 = sys.maxsize points
     assert len(whole) == sys.maxsize
-    assert whole[-3:].numerators().tolist() == [[2**63 - 3], [2**63 - 2], [2**63 - 1]]
-    for make in (lambda: lattice(2**63, 1), lambda: lattice(31 * 10**8, 2), lambda: grid(10**10, 2),
+    assert whole[-3:].numerators().tolist() == [[2**63 - 4], [2**63 - 3], [2**63 - 2]]
+    for make in (lambda: lattice(2**63, 1), lambda: lattice(2**63, 1, 1),
+                 lambda: lattice(31 * 10**8, 2), lambda: grid(10**10, 2),
                  lambda: tbang_points(2, 64, 1), lambda: tbang_points(2, 21, 3),
                  lambda: tbang_points(3, 10**12, 2), lambda: lattice(10**5000, 3)):
         with pytest.raises(InvalidInput, match="too large") as err:
