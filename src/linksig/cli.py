@@ -1,9 +1,10 @@
 """Command-line front-end.
 
-Exit codes: 0 success, 2 invalid input (schema or precondition), 3 success
-with uncertain samples, 4 internal numerical failure (for report also
-samples that failed to evaluate, after the report is printed).  Machine output goes to
-the chosen path (default stdout); diagnostics go to stderr.
+Exit codes: 0 success, 2 invalid input (schema or precondition, or a file
+that cannot be read as UTF-8 text or written), 3 success with uncertain
+samples, 4 internal numerical failure (for report also samples that failed
+to evaluate, after the report is printed).  Machine output goes to the
+chosen path (default stdout); diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ from .hermitian import DEFAULT_TAU
 from .invariants import hosokawa, hosokawa_normalized, slope
 from .laurent import format_poly, parse_poly
 from .sampler import (
-    SOURCE_SKIPPED,
     concordance_report,
     grid,
     records_to_csv,
     records_to_json,
     records_to_ppm,
     sample_map,
+    uncertain_records,
 )
 from .strata import DEFAULT_TAU_POLY, load_presentation, save_presentation, stratum_indices
 from .torus import TorusPoint, turn_formatter
@@ -127,8 +128,7 @@ def _cmd_sigmap(args) -> int:
         side_len = args.grid if args.faces else args.grid - 1
         text = records_to_ppm(records, side_len, side_len)
     _write_output(text, args.out)
-    uncertain = sum(1 for r in records if (not r.certified or r.flags) and r.source != SOURCE_SKIPPED)
-    return EXIT_UNCERTAIN if uncertain else EXIT_OK
+    return EXIT_UNCERTAIN if uncertain_records(records) else EXIT_OK
 
 
 def _cmd_slope(args) -> int:
@@ -253,8 +253,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing or unreadable input, an unwritable output
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INVALID
+    except UnicodeDecodeError as exc:
+        sys.stderr.write(f"error: input is not UTF-8 text: {exc}\n")
         return EXIT_INVALID
     except json.JSONDecodeError as exc:
         sys.stderr.write(f"error: bad JSON: {exc}\n")

@@ -179,12 +179,6 @@ class ColoredLinkData:
     def component_ids(self) -> tuple[str, ...]:
         return tuple(cid for cid, _ in self.components)
 
-    def color_of(self, cid: str) -> int:
-        for c, color in self.components:
-            if c == cid:
-                return color
-        raise InvalidInput(f"unknown component {cid!r}")
-
     def lk(self, a: str, b: str) -> int:
         if a == b:
             return 0
@@ -267,14 +261,18 @@ def seifert_coefficients(mu: int, points: Sequence[TorusPoint]) -> np.ndarray:
 
 def hermitian_forms(link: ColoredLinkData, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (P, g, g) forms sum_eps coef[:, eps] A^eps and their scales, as in
-    hermitian_with_scale.  Entries that overflow come back infinite, and
-    inertia rejects them.
+    hermitian_with_scale.  Each scale is summed over eps in order, one
+    column at a time, so a point's scale does not depend on the stack it is
+    in.  Entries that overflow come back infinite, and inertia rejects them.
     """
     if link.seifert is None:
         raise MissingSeifertData(f"link {link.name!r} has no Seifert data")
     stack, amax = _seifert_arrays(link)
+    scale = np.zeros(len(coef))
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.einsum("pe,ejk->pjk", coef, stack), np.abs(coef) @ amax
+        for column, a in zip(np.abs(coef).T, amax.tolist()):
+            scale += column * a
+        return np.einsum("pe,ejk->pjk", coef, stack), scale
 
 
 def hermitian_at(link: ColoredLinkData, point: TorusPoint) -> np.ndarray:
@@ -440,18 +438,22 @@ def link_from_dict(data: dict) -> ColoredLinkData:
         if not isinstance(linking, dict):
             raise InvalidInput(f"malformed link record: linking is a {type(linking).__name__}, not an object")
         seifert = data.get("seifert")
-        alexander = data.get("alexander")
-        conway = data.get("conway")
-        return ColoredLinkData(
+        link = ColoredLinkData(
             name=str(data.get("name", "")),
             mu=mu,
             components=components,
             linking=linking,
             g=data.get("g"),
             seifert={k: v for k, v in seifert.items()} if seifert is not None else None,
-            alexander=parse_poly(alexander, mu=mu) if alexander else None,
-            conway=parse_poly(conway, mu=mu, half_step=True) if conway else None,
         )
+        # the polynomials are parsed only once mu is known to be the link's,
+        # so a huge mu is refused before a term of mu exponents is built
+        alexander = data.get("alexander")
+        conway = data.get("conway")
+        if not (alexander or conway):
+            return link
+        return replace(link, alexander=parse_poly(alexander, mu=mu) if alexander else None,
+                       conway=parse_poly(conway, mu=mu, half_step=True) if conway else None)
 
 
 def slope_to_dict(slope_data: SlopeData) -> dict:

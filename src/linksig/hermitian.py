@@ -1,22 +1,26 @@
 """Certified inertia of dense Hermitian matrices and a tolerance-aware solver.
 
 Signature and nullity come from LAPACK's Hermitian eigenvalue routine
-(np.linalg.eigvalsh), one matrix at a time in inertia or a stack at a time
-in inertia_many.  Classification is relative to a scale: by default the
-largest absolute entry of the matrix, but callers that know the structural
-magnitude of their data (e.g. a form assembled from integer matrices and
-roots of unity) may pass it explicitly so that an exact zero produced by
-cancellation is not mistaken for a matrix-sized eigenvalue.
+(np.linalg.eigvalsh), a stack of forms at a time in inertia_many; inertia is
+inertia_many on a stack of one, with the input checks of a single matrix.
+Classification is relative to a scale: by default the largest absolute entry
+of the matrix, but callers that know the structural magnitude of their data
+(e.g. a form assembled from integer matrices and roots of unity) may pass it
+explicitly so that an exact zero produced by cancellation is not mistaken for
+a matrix-sized eigenvalue.
 
 Why eigvalsh is accurate enough: an eigenvalue counts as zero when
 |lambda| <= cut = tau * scale (tau = 1e-9 by default), and the split is
 certified only when no eigenvalue lies within a factor UNCERTAIN_BAND of the
-cut.  LAPACK's eigenvalues are backward stable, with absolute errors of
-order n * eps * ||H|| (eps ~ 2.2e-16).  The scale bounds every entry, so
+cut (in_uncertain_band, which the elementary-ideal strata use as well).
+LAPACK's eigenvalues are backward stable, with absolute errors of order
+n * eps * ||H|| (eps ~ 2.2e-16).  The scale bounds every entry, so
 ||H|| <= n * scale and the error stays below cut / UNCERTAIN_BAND for n up to
 several hundred.  The relative accuracy of Jacobi rotations on small
 eigenvalues (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992) would
 matter only below the cut, where every eigenvalue already counts as zero.
+Each form's certification margin, min_gap, is the smallest |lambda| / scale
+among the eigenvalues called nonzero.
 
 solve_many reads the rank of each system of a stack from one stacked LAPACK
 singular value decomposition (np.linalg.svd), with the same relative cut:
@@ -57,75 +61,60 @@ class InertiaResult:
         return (self.signature, self.nullity)
 
 
-def _classify(eig: np.ndarray, cut) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signature, nullity and certification of the eigenvalues along the last axis.
-
-    Eigenvalues with |lambda| > cut count into the signature, the rest into
-    the nullity; a split is uncertain when any eigenvalue falls inside the
-    band (cut/16, 16*cut).
-    """
-    absed = np.abs(eig)
-    n_pos = np.sum(eig > cut, axis=-1)
-    n_neg = np.sum(eig < -cut, axis=-1)
-    uncertain = np.any((absed > cut / UNCERTAIN_BAND) & (absed < cut * UNCERTAIN_BAND), axis=-1)
-    return n_pos - n_neg, eig.shape[-1] - n_pos - n_neg, ~uncertain
+def in_uncertain_band(value, cut):
+    """Whether each magnitude lies strictly within a factor UNCERTAIN_BAND of
+    its cut, where calling it zero or nonzero cannot be trusted."""
+    return (value > cut / UNCERTAIN_BAND) & (value < cut * UNCERTAIN_BAND)
 
 
 def inertia(m: np.ndarray, tau: float = DEFAULT_TAU, scale: float | None = None) -> InertiaResult:
-    """Certified signature and nullity of a Hermitian matrix.
+    """Certified signature and nullity of a Hermitian matrix: inertia_many on
+    a stack of one.
 
-    Eigenvalues with |lambda| > tau*scale count into the signature, the rest
-    into the nullity; certified is False when any eigenvalue falls inside
-    the band (tau*scale/16, 16*tau*scale).  A matrix, symmetrised form or
-    scale that is not finite, or an eigensolver failure, raises
-    EigensolverFailure.  The Hermitian defect is measured against the larger
-    of scale and the largest entry, so a form that cancels to rounding
-    residue classifies as zeros.
+    The scale defaults to the largest absolute entry.  A matrix or scale that
+    is not finite, a symmetrised form that overflows, or an eigensolver
+    failure raises EigensolverFailure; a Hermitian defect beyond the
+    tolerance raises NotHermitian.
     """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquare(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
-    if n == 0:
-        return InertiaResult(0, 0, True, float("inf"))
     if not np.all(np.isfinite(a)):
         raise EigensolverFailure(f"a {n}x{n} matrix has non-finite entries")
-    entry_scale = float(np.max(np.abs(a)))
+    entry_scale = float(np.abs(a).max(initial=0.0))
     if scale is None:
         scale = entry_scale
     if scale < 0:
         raise InvalidInput("scale must be nonnegative")
     if not math.isfinite(scale):
         raise EigensolverFailure(f"scale {scale} is not finite")
-    reference = max(entry_scale, scale)
-    herm_defect = float(np.max(np.abs(a - a.conj().T)))
-    if herm_defect > _HERMITIAN_REL * reference:
-        raise NotHermitian(f"asymmetry {herm_defect:.3e} exceeds {_HERMITIAN_REL:.0e} * {reference:.3e}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        sym = (a + a.conj().T) / 2.0
-    if not np.all(np.isfinite(sym)):
-        raise EigensolverFailure(f"the symmetrised {n}x{n} form is not finite")
-    try:
-        eig = np.linalg.eigvalsh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(f"eigvalsh failed on a {n}x{n} matrix: {exc}") from exc
-    cut = tau * scale
-    signature, nullity, certified = _classify(eig, cut)
-    absed = np.abs(eig)
-    nonzero = absed[absed > cut]
-    min_gap = float(np.min(nonzero) / scale) if (nonzero.size and scale > 0) else float("inf")
-    return InertiaResult(int(signature), int(nullity), bool(certified), min_gap)
+    signature, nullity, certified, ok, min_gap = inertia_many(a[None], np.array([scale], dtype=np.float64), tau)
+    if not ok[0]:
+        reference = max(entry_scale, scale)
+        with np.errstate(over="ignore"):
+            herm_defect = float(np.abs(a - a.conj().T).max(initial=0.0))
+        if herm_defect > _HERMITIAN_REL * reference:
+            raise NotHermitian(f"asymmetry {herm_defect:.3e} exceeds {_HERMITIAN_REL:.0e} * {reference:.3e}")
+        raise EigensolverFailure(f"eigvalsh failed or the symmetrised {n}x{n} form is not finite")
+    return InertiaResult(int(signature[0]), int(nullity[0]), bool(certified[0]), float(min_gap[0]))
 
 
-def inertia_many(h: np.ndarray, scale: np.ndarray,
-                 tau: float = DEFAULT_TAU) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Signature, nullity and certification of a (P, n, n) stack of forms.
+def inertia_many(h: np.ndarray, scale: np.ndarray, tau: float = DEFAULT_TAU
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Signature, nullity and certification of a (P, n, n) stack of forms,
+    one scale per form.
 
-    The batched counterpart of inertia with one scale per form.  Returns
-    (signature, nullity, certified, ok).  A row with ok False has a
-    non-finite form, symmetrised form or scale, or fails the Hermitian
-    check; its other entries are meaningless, and inertia on that form gives
-    its error.
+    Eigenvalues with |lambda| > cut = tau * scale count into the signature,
+    the rest into the nullity; a row is uncertified when an eigenvalue lies
+    in the uncertain band around its cut.  The Hermitian defect is measured
+    against the larger of the scale and the largest entry, so a form that
+    cancels to rounding residue classifies as zeros.  Returns (signature,
+    nullity, certified, ok, min_gap), where min_gap is the smallest
+    |lambda| / scale among the eigenvalues called nonzero (inf when there is
+    none or the scale is 0).  A row with ok False has a non-finite form,
+    symmetrised form or scale, or fails the Hermitian check; its other
+    entries are meaningless, and inertia on that form gives its error.
     """
     herm = h.conj().swapaxes(1, 2)
     entry_scale = np.abs(h).max(axis=(1, 2), initial=0.0)
@@ -140,7 +129,15 @@ def inertia_many(h: np.ndarray, scale: np.ndarray,
         eig[ok] = np.linalg.eigvalsh(sym[ok])
     except np.linalg.LinAlgError:
         ok[:] = False
-    return (*_classify(eig, tau * scale[:, None]), ok)
+    absed = np.abs(eig)
+    cut = tau * scale[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows with ok False or scale 0
+        n_pos = np.sum(eig > cut, axis=-1)
+        n_neg = np.sum(eig < -cut, axis=-1)
+        certified = ~np.any(in_uncertain_band(absed, cut), axis=-1)
+        smallest = np.where(absed > cut, absed, np.inf).min(axis=-1, initial=np.inf)
+        min_gap = np.where(scale > 0, smallest / scale, np.inf)
+    return n_pos - n_neg, eig.shape[-1] - n_pos - n_neg, certified, ok, min_gap
 
 
 # -- linear solving -----------------------------------------------------------

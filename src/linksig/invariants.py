@@ -76,6 +76,18 @@ def _half_step_factor(i: int, mu: int) -> LaurentPoly:
     return LaurentPoly(mu, {up: 1, down: -1}, half_step=True)
 
 
+def _rescale(poly: LaurentPoly, factors, exponents) -> LaurentPoly:
+    """poly times prod_i factors[i]^exponents[i]: the positive powers are
+    multiplied in first, then the negative ones divided out exactly."""
+    for f, e in zip(factors, exponents):
+        if e > 0:
+            poly = poly * f**e
+    for f, e in zip(factors, exponents):
+        if e < 0:
+            poly = exact_div(poly, f ** (-e))
+    return poly
+
+
 def hosokawa(delta: LaurentPoly, link: ColoredLinkData) -> LaurentPoly:
     """Hosokawa polynomial from the Alexander polynomial, up to units.
 
@@ -88,19 +100,9 @@ def hosokawa(delta: LaurentPoly, link: ColoredLinkData) -> LaurentPoly:
         raise InvalidInput(f"polynomial arity {delta.mu} != link mu {link.mu}")
     if delta.is_zero():
         return delta
-    if link.mu == 1:
-        power = len(link.components) - 1
-        out = exact_div(delta, _one_minus_t(1, 1) ** power)
-        return unit_normalize(out)
-    out = delta
-    nus = nu_exponents(link)
-    for i, nu in enumerate(nus, start=1):
-        if nu > 0:
-            out = out * _one_minus_t(i, link.mu) ** nu
-    for i, nu in enumerate(nus, start=1):
-        if nu < 0:
-            out = exact_div(out, _one_minus_t(i, link.mu) ** (-nu))
-    return unit_normalize(out)
+    exponents = (1 - len(link.components),) if link.mu == 1 else nu_exponents(link)
+    factors = [_one_minus_t(i, link.mu) for i in range(1, link.mu + 1)]
+    return unit_normalize(_rescale(delta, factors, exponents))
 
 
 def hosokawa_two_component(delta: LaurentPoly, lk: int) -> LaurentPoly:
@@ -110,10 +112,7 @@ def hosokawa_two_component(delta: LaurentPoly, lk: int) -> LaurentPoly:
     if delta.is_zero():
         return delta
     factor = _one_minus_t(1, 2) * _one_minus_t(2, 2)
-    power = abs(int(lk)) - 1
-    if power >= 0:
-        return unit_normalize(delta * factor**power)
-    return unit_normalize(exact_div(delta, factor ** (-power)))
+    return unit_normalize(_rescale(delta, [factor], [abs(int(lk)) - 1]))
 
 
 def hosokawa_normalized(conway: LaurentPoly, link: ColoredLinkData) -> LaurentPoly:
@@ -128,21 +127,9 @@ def hosokawa_normalized(conway: LaurentPoly, link: ColoredLinkData) -> LaurentPo
         raise InvalidInput(f"polynomial arity {conway.mu} != link mu {link.mu}")
     if conway.is_zero():
         return conway
-    if link.mu == 1:
-        power = len(link.components) - 2
-        f = _half_step_factor(1, 1)
-        if power >= 0:
-            return exact_div(conway, f**power)
-        return conway * f ** (-power)
-    out = conway
-    nus = nu_exponents(link)
-    for i, nu in enumerate(nus, start=1):
-        if nu > 0:
-            out = out * _half_step_factor(i, link.mu) ** nu
-    for i, nu in enumerate(nus, start=1):
-        if nu < 0:
-            out = exact_div(out, _half_step_factor(i, link.mu) ** (-nu))
-    return out
+    exponents = (2 - len(link.components),) if link.mu == 1 else nu_exponents(link)
+    factors = [_half_step_factor(i, link.mu) for i in range(1, link.mu + 1)]
+    return _rescale(conway, factors, exponents)
 
 
 def _slope_rows(k: np.ndarray, sols: Solutions, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -63,6 +63,12 @@ class SampleRecord(NamedTuple):
     flags: tuple[str, ...] = ()
 
 
+def uncertain_records(records: list[SampleRecord]) -> list[SampleRecord]:
+    """The samples that were evaluated but are uncertified or flagged."""
+    return [rec for rec in records
+            if (not rec.certified or rec.flags) and rec.source != SOURCE_SKIPPED and rec.sigma is not None]
+
+
 @dataclass(frozen=True)
 class ConstancyViolation:
     point_a: TorusPoint
@@ -143,7 +149,7 @@ def _evaluate_rows(link: ColoredLinkData, slope_data: SlopeData | None, batch_fa
     inner = count == 0
     if inner.any():
         h, scale = hermitian_forms(link, numerator_coefficients(d, nums[inner]))
-        results = zip(rows[inner].tolist(), *(col.tolist() for col in inertia_many(h, scale, tau)))
+        results = zip(rows[inner].tolist(), *(col.tolist() for col in inertia_many(h, scale, tau)[:4]))
         for i, sigma, eta, certified, ok in results:
             if ok:
                 records[i] = SampleRecord(points[i], sigma, eta, SOURCE_INTERIOR, certified)
@@ -154,7 +160,7 @@ def _evaluate_rows(link: ColoredLinkData, slope_data: SlopeData | None, batch_fa
     if batch_faces and at_dist.any():
         coef = numerator_coefficients(d, np.delete(nums[at_dist], dist - 1, axis=1))
         h, scale = hermitian_forms(slope_data.base, coef)
-        sigma, _, certified, ok = inertia_many(h, scale, tau)
+        sigma, _, certified, ok, _ = inertia_many(h, scale, tau)
         sign, infinite, slope_ok = slope_signs(slope_data, coef, tau)
         results = zip(rows[at_dist].tolist(), (sigma + sign).tolist(), certified.tolist(),
                       infinite.tolist(), (ok & slope_ok).tolist())
@@ -260,20 +266,12 @@ def concordance_report(link: ColoredLinkData, slope_data: SlopeData | None,
     failed to evaluate are counted as errors, with the first of them.
     """
     records = sample_map(link, tbang_points(p, d, link.mu), slope_data, tau)
-    witnesses = []
-    uncertain = 0
+    # a Skipped record has no sigma, so a witness is an evaluated sample
+    witnesses = [(rec.point, rec.sigma) for rec in records if rec.sigma and rec.certified and not rec.flags]
     failed = [rec for rec in records if FLAG_ERROR in rec.flags]
-    for rec in records:
-        if rec.source == SOURCE_SKIPPED or rec.sigma is None:
-            continue
-        if not rec.certified or rec.flags:
-            uncertain += 1
-            continue
-        if rec.sigma != 0:
-            witnesses.append((rec.point, rec.sigma))
     verdict = "Obstructed" if witnesses else "Inconclusive"
     first_error = (failed[0].point, failed[0].flags[1]) if failed else None
-    return ConcordanceReport(verdict, tuple(witnesses), p, d, len(records), uncertain,
+    return ConcordanceReport(verdict, tuple(witnesses), p, d, len(records), len(uncertain_records(records)),
                              len(failed), first_error)
 
 

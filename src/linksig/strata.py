@@ -14,7 +14,10 @@ a sample drops out at its first non-vanishing ideal.  The classification is
 the one a per-sample loop over vanishes_at would give, bit for bit: the
 exponent sums are exact integers, the roots are the same unit_root values,
 the terms are summed in the same order, and magnitudes come from np.hypot,
-which rounds as abs(complex) does.
+which rounds as abs(complex) does.  A sample is flagged Uncertain when a
+magnitude it was classified by lies in the uncertain band of its cut, the
+band that also decides the certification of inertia
+(hermitian.in_uncertain_band).
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ import numpy as np
 
 from .clink import malformed_record, strict_int
 from .errors import BasePoint, InvalidInput
+from .hermitian import in_uncertain_band
 from .laurent import LaurentPoly, eval_at, eval_numerators, format_poly, gcd_many, parse_poly, unit_normalize
 from .torus import TorusPoint, denominator_groups
 
 DEFAULT_TAU_POLY = 1e-8
-_UNCERTAIN_BAND = 16.0
 
 FLAG_MORE_THAN_TWO_ONES = "MoreThanTwoOnes"
 FLAG_UNCERTAIN = "Uncertain"
@@ -164,10 +167,11 @@ def stratum_indices(p: PresentationMatrix, points: Sequence[TorusPoint],
 
     Index r >= 1 needs every nonzero generator of E_1, ..., E_r to vanish
     (vanishes_at); a sample is flagged Uncertain when a generator of one of
-    those ideals, or of the first that does not vanish, has |value| within a
-    factor 16 of its cut.  The nullity prediction is suppressed when more than
-    two coordinates equal 1.  The samples are classified in batches, one per
-    common denominator (see the module docstring).
+    those ideals, or of the first that does not vanish, has |value| in the
+    uncertain band of its cut (hermitian.in_uncertain_band).  The nullity
+    prediction is suppressed when more than two coordinates equal 1.  The
+    samples are classified in batches, one per common denominator (see the
+    module docstring).
     """
     for pt in points:
         if pt.mu != p.mu:
@@ -187,7 +191,7 @@ def stratum_indices(p: PresentationMatrix, points: Sequence[TorusPoint],
                 z = eval_numerators(g, d, nums)
                 v = np.hypot(z.real, z.imag)  # abs(complex) bit for bit; np.abs may differ
                 cut = _vanishing_cut(g, tau_poly)
-                near |= (cut / _UNCERTAIN_BAND < v) & (v < cut * _UNCERTAIN_BAND)
+                near |= in_uncertain_band(v, cut)
                 vanish &= ~(v > cut)
             uncertain[live] |= near
             live, nums = live[vanish], nums[vanish]

@@ -398,3 +398,40 @@ def test_sigmap_ppm_rejects_arity_before_sweeping(exported, monkeypatch, capsys)
     assert main(["sigmap", exported["link"], "--grid", "3", "--format", "ppm"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "two colors" in captured.err
+
+
+def test_unreadable_inputs_and_outputs_exit_2(exported, tmp_path, capsys):
+    # a directory, a file of non-UTF-8 bytes, an output path that is a directory:
+    # each is one error line, never a traceback
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x80" + bytes(range(256)))
+    for argv in (["sigmap", str(tmp_path), "--grid", "4"],
+                 ["sigmap", str(binary), "--grid", "4"],
+                 ["sigmap", exported["link"], "--grid", "4", "--out", str(tmp_path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_link_is_validated_before_its_polynomials_are_parsed(tmp_path, capsys, monkeypatch):
+    # a huge mu would make every parsed term a tuple of mu exponents; the
+    # link's colors refuse it first
+    parse_poly = linksig.clink.parse_poly
+
+    def bounded_parse(text, mu, **kwargs):
+        assert mu <= 1, "a polynomial was parsed with a mu the link does not have"
+        return parse_poly(text, mu=mu, **kwargs)
+
+    monkeypatch.setattr(linksig.clink, "parse_poly", bounded_parse)
+    doc = {"name": "hopf-huge-mu", "mu": 10**9, "components": [{"id": "K1", "color": 1}, {"id": "K2", "color": 1}],
+           "linking": {"K1,K2": 1}, "alexander": "t1 - 1"}
+    path = tmp_path / "huge-mu.link.json"
+    path.write_text(json.dumps(doc))
+    assert main(["hosokawa", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "colors not used by any component" in captured.err
+    doc["mu"] = 1
+    path.write_text(json.dumps(doc))
+    assert main(["hosokawa", str(path)]) == 0
+    assert capsys.readouterr().out == "1\n"

@@ -10,11 +10,13 @@ from linksig.clink import (
     ColoredLinkData,
     SlopeData,
     hermitian_at,
+    hermitian_forms,
     hermitian_with_scale,
     link_from_dict,
     link_to_dict,
     mirror,
     nu_exponents,
+    numerator_coefficients,
     seifert_coefficients,
     seifert_framed_linking_matrix,
     sign_vectors,
@@ -73,6 +75,22 @@ def test_hermitian_forms_are_hermitian(rng):
                 continue
             defect = np.max(np.abs(h - h.conj().T))
             assert defect <= 1e-12 * max(scale, 1e-300)
+
+
+def test_stack_scales_do_not_depend_on_the_stack(nprng):
+    # a point's scale is the same whichever chunk of points it is evaluated in
+    for mu, g in ((1, 3), (2, 6), (3, 6), (4, 16)):
+        seifert = {}
+        for eps in sign_vectors(mu):
+            if tuple(-e for e in eps) not in seifert:
+                seifert[eps] = nprng.integers(-9, 10, (g, g)).tolist()
+        link = ColoredLinkData("random", mu, tuple((f"K{c}", c) for c in range(1, mu + 1)), {}, g, seifert)
+        for n in (7, 12, 32):
+            nums = nprng.integers(1, n, (500, mu))
+            h, scale = hermitian_forms(link, numerator_coefficients(n, nums))
+            for k in range(len(nums)):
+                _, scale_one = hermitian_forms(link, numerator_coefficients(n, nums[k:k + 1]))
+                assert scale_one[0] == scale[k]
 
 
 def test_seifert_coefficients_huge_denominators():

@@ -61,7 +61,7 @@ def test_hermitian_defect_measured_against_scale():
         inertia(m)
     r = inertia(m, scale=10.0)
     assert r.pair == (0, 3) and r.certified
-    sig, null, cert, ok = inertia_many(m[None], np.array([10.0]))
+    sig, null, cert, ok, _ = inertia_many(m[None], np.array([10.0]))
     assert (sig[0], null[0], cert[0], ok[0]) == (0, 3, True, True)
 
 
@@ -115,14 +115,26 @@ def test_inertia_many_matches_inertia(nprng):
         h = np.array([random_hermitian(nprng, n) for _ in range(12)]).reshape(12, n, n)
         h[3] = np.diag(np.arange(n) - 1.0)  # a degenerate form
         scale = np.abs(h).max(axis=(1, 2), initial=0.0) * nprng.uniform(1, 4, 12)
-        sig, null, cert, ok = inertia_many(h, scale)
+        sig, null, cert, ok, _ = inertia_many(h, scale)
         assert ok.all()
         for k in range(12):
             r = inertia(h[k], scale=float(scale[k]))
             assert (sig[k], null[k], cert[k]) == (r.signature, r.nullity, r.certified)
     h = np.array([np.eye(2), [[0, 1], [2, 0]], [[np.nan, 0], [0, 1]], np.eye(2)], dtype=complex)
-    _, _, _, ok = inertia_many(h, np.array([1.0, 2.0, 1.0, np.inf]))
+    _, _, _, ok, _ = inertia_many(h, np.array([1.0, 2.0, 1.0, np.inf]))
     assert ok.tolist() == [True, False, False, False]
+
+
+def test_inertia_many_reports_the_smallest_margin():
+    h = np.array([np.diag([2.0, -0.5, 0.0]), np.zeros((3, 3)), np.diag([1.0, 1.0, 1.0]), np.diag([3.0, 0, 0])])
+    sig, null, cert, ok, min_gap = inertia_many(h, np.array([4.0, 1.0, 0.0, 2.0]))
+    assert ok.all() and cert.all()
+    assert (sig.tolist(), null.tolist()) == ([0, 0, 3, 1], [1, 3, 0, 2])
+    assert min_gap.tolist() == [0.125, np.inf, np.inf, 1.5]
+    for k in range(len(h)):
+        scale = [4.0, 1.0, 0.0, 2.0][k]
+        assert inertia(h[k], scale=scale).min_gap == min_gap[k]
+    assert inertia(np.zeros((0, 0))).min_gap == np.inf
 
 
 def _random_inertia_instance(nprng, n):
@@ -343,7 +355,7 @@ def test_inertia_rejects_overflowing_symmetrisation():
     m = np.array([[1.5e308, 1.0], [1.0, 1.0]])
     with pytest.raises(EigensolverFailure):
         inertia(m)
-    _, _, _, ok = inertia_many(np.array([m, np.eye(2)], dtype=complex), np.array([1.5e308, 1.0]))
+    _, _, _, ok, _ = inertia_many(np.array([m, np.eye(2)], dtype=complex), np.array([1.5e308, 1.0]))
     assert ok.tolist() == [False, True]
 
 

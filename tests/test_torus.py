@@ -1,6 +1,7 @@
 """Torus points: lattices from shared turn tables against the validating constructor."""
 
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -176,3 +177,62 @@ def test_conjugation_leaves_sigma_unchanged(link, n):
         assert conj.point == rec.point.conjugate()
         assert (conj.sigma, conj.eta, conj.source, conj.certified) == \
             (rec.sigma, rec.eta, rec.source, rec.certified)
+
+
+@st.composite
+def unimodular_matrices(draw, g):
+    """An integer g x g matrix of determinant +-1: elementary row additions and a sign."""
+    p = np.eye(g, dtype=np.int64)
+    for _ in range(draw(st.integers(0, 2 * g)) if g > 1 else 0):
+        i = draw(st.integers(0, g - 1))
+        j = draw(st.integers(0, g - 2))
+        p[i] += draw(st.sampled_from((-1, 1))) * p[j + (j >= i)]
+    p[0] *= draw(st.sampled_from((-1, 1)))
+    return p
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_integer_congruence_leaves_certified_records_unchanged(data):
+    # P^T A^eps P for every eps moves H(omega) to P^T H(omega) P, of the same inertia
+    link = data.draw(c_complex_links())
+    p = data.draw(unimodular_matrices(link.g))
+    moved = replace(link, seifert={eps: (p.T @ np.array(a) @ p).tolist() for eps, a in link.seifert.items()})
+    points = grid(data.draw(st.integers(2, 7)), link.mu, include_faces=True)
+    compared = 0
+    for rec, other in zip(sample_map(link, points), sample_map(moved, points)):
+        if rec.certified and other.certified:
+            assert (other.sigma, other.eta, other.source) == (rec.sigma, rec.eta, rec.source), rec.point
+            compared += rec.sigma is not None
+    assert compared
+
+
+@st.composite
+def c_complex_pairs(draw):
+    """Two random integer C-complexes of the same arity."""
+    a = draw(c_complex_links())
+    g = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-3, 3), min_size=g, max_size=g)
+    seifert = {eps: tuple(map(tuple, draw(st.lists(row, min_size=g, max_size=g)))) for eps in a.seifert}
+    return a, replace(a, name="random-b", g=g, seifert=seifert)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=c_complex_pairs(), n=st.integers(2, 6))
+def test_direct_sum_adds_certified_records(pair, n):
+    # block-diagonal A^eps make H(omega) the direct sum of the two forms
+    a, b = pair
+    seifert = {}
+    for eps in a.seifert:
+        m = np.zeros((a.g + b.g,) * 2, dtype=np.int64)
+        m[:a.g, :a.g] = a.seifert_matrix(eps)
+        m[a.g:, a.g:] = b.seifert_matrix(eps)
+        seifert[eps] = m.tolist()
+    total = replace(a, name="direct-sum", g=a.g + b.g, seifert=seifert)
+    points = grid(n, a.mu)
+    compared = 0
+    for ra, rb, rs in zip(sample_map(a, points), sample_map(b, points), sample_map(total, points)):
+        if ra.certified and rb.certified and rs.certified:
+            assert (rs.sigma, rs.eta) == (ra.sigma + rb.sigma, ra.eta + rb.eta), ra.point
+            compared += 1
+    assert compared
