@@ -77,6 +77,7 @@ from .laurent import (
 from .sampler import (
     ConcordanceReport,
     SampleRecord,
+    Sweep,
     concordance_report,
     constancy_check,
     grid,
@@ -84,6 +85,7 @@ from .sampler import (
     records_to_json,
     records_to_ppm,
     sample_map,
+    sweep,
     tbang_points,
 )
 from .strata import (

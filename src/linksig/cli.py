@@ -34,7 +34,7 @@ from .sampler import (
     records_to_json,
     records_to_ppm,
     sample_map,
-    uncertain_records,
+    sweep,
 )
 from .strata import DEFAULT_TAU_POLY, load_presentation, save_presentation, stratum_indices
 from .torus import TorusPoint, turn_formatter
@@ -119,16 +119,16 @@ def _cmd_sigmap(args) -> int:
     if args.format == "ppm" and link.mu != 2:
         raise InvalidInput("ppm heatmaps are defined for two colors")
     points = grid(args.grid, link.mu, include_faces=args.faces)
-    records = sample_map(link, points, slope_data, args.tau)
+    result = sweep(link, points, slope_data, args.tau)
     if args.format == "csv":
-        text = records_to_csv(records, link.mu)
+        text = records_to_csv(result, link.mu)
     elif args.format == "json":
-        text = records_to_json(records, link.mu)
+        text = records_to_json(result, link.mu)
     else:
         side_len = args.grid if args.faces else args.grid - 1
-        text = records_to_ppm(records, side_len, side_len)
+        text = records_to_ppm(result, side_len, side_len)
     _write_output(text, args.out)
-    return EXIT_UNCERTAIN if uncertain_records(records) else EXIT_OK
+    return EXIT_UNCERTAIN if result.uncertain().any() else EXIT_OK
 
 
 def _cmd_slope(args) -> int:

@@ -1,11 +1,22 @@
 """Torus sampling: grids, signature/nullity sweeps, reports.
 
-Points are generated in deterministic lexicographic order and records come
-back in the order of the points.  A sweep groups its points once by the
-integer numerators k of their turns k/d (denominator_groups: a grid or root
-lattice is one group, from index arithmetic; a list is grouped by common
-denominator), then evaluates each group in chunks of rows.  A coordinate
-counts as 1 iff its numerator is 0 - never by float comparison.
+Points are generated in deterministic lexicographic order, and a sweep's
+samples come back in the order of the points, as the columns of a Sweep:
+sigma and eta with NA masks, a source code, certified, the certification
+margin min_gap, and sparse per-row flags.  A Lattice stays a Lattice in the
+Sweep and is never expanded into points; sample_map is the view
+sweep(...).records(), one SampleRecord per point.  The writers, the reports
+and the uncertain-sample rule (Sweep.uncertain) read the columns; given a
+list of records, they turn it into a Sweep first.  A lattice's CSV rows are
+assembled from its numerators, one string per distinct turn and one per
+distinct (sigma, eta, source, certified); its PPM pixels from one colour
+per distinct outcome.
+
+A sweep groups its points once by the integer numerators k of their turns
+k/d (denominator_groups: a grid or root lattice is one group, from index
+arithmetic; a list is grouped by common denominator), then evaluates each
+group in chunks of rows.  A coordinate counts as 1 iff its numerator is 0 -
+never by float comparison.
 
 Interior points (no zero numerator) share one coefficient array, one einsum
 for the Hermitian forms and one batched eigvalsh call.  Face points where
@@ -23,12 +34,12 @@ its record carries the exact error.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from fractions import Fraction
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,6 +54,7 @@ from .torus import Lattice, TorusPoint, denominator_groups, lattice, turn_format
 SOURCE_INTERIOR = "Interior"
 SOURCE_FACE = "Face"
 SOURCE_SKIPPED = "Skipped"
+SOURCES = (SOURCE_INTERIOR, SOURCE_FACE, SOURCE_SKIPPED)  # a Sweep's source codes
 
 FLAG_INFINITE_SLOPE = "InfiniteSlope"
 FLAG_FACE_UNAVAILABLE = "FaceUnavailable"
@@ -63,10 +75,116 @@ class SampleRecord(NamedTuple):
     flags: tuple[str, ...] = ()
 
 
+Outcome = tuple[int | None, int | None, str, bool]  # (sigma, eta, source, certified)
+
+
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """The samples of a sweep as columns: row i is the sample at points[i].
+
+    points is the sequence as given (a Lattice stays a Lattice, never
+    expanded into points).  sigma and eta are int64, 0 where sigma_na and
+    eta_na mark them NA; source indexes SOURCES; min_gap is the certification
+    margin of the form behind certified (inertia_many's min_gap: the link's
+    form at an interior sample, the sublink's at a face sample), NaN where
+    no batch measured one.  flags holds the flags of the rows that have
+    any, by row.
+    """
+
+    points: Sequence[TorusPoint]
+    sigma: np.ndarray
+    eta: np.ndarray
+    sigma_na: np.ndarray
+    eta_na: np.ndarray
+    source: np.ndarray
+    certified: np.ndarray
+    min_gap: np.ndarray
+    flags: dict[int, tuple[str, ...]]
+
+    @classmethod
+    def empty(cls, points: Sequence[TorusPoint]) -> "Sweep":
+        """Columns for points with every row pending (source -1)."""
+        n = len(points)
+        return cls(points, np.zeros(n, np.int64), np.zeros(n, np.int64), np.ones(n, bool), np.ones(n, bool),
+                   np.full(n, -1, np.int8), np.ones(n, bool), np.full(n, np.nan), {})
+
+    @classmethod
+    def of(cls, records: "Sweep | list[SampleRecord]") -> "Sweep":
+        """The records as columns; a Sweep is returned as it is."""
+        if isinstance(records, Sweep):
+            return records
+        points, sigma, eta, source, certified, flags = zip(*records) if records else [()] * 6
+        out = cls.empty(list(points))
+        for values, column, na in ((sigma, out.sigma, out.sigma_na), (eta, out.eta, out.eta_na)):
+            na[:] = [value is None for value in values]
+            column[~na] = [value for value in values if value is not None]
+        out.source[:] = [SOURCES.index(name) for name in source]
+        out.certified[:] = certified
+        out.flags.update((i, row_flags) for i, row_flags in enumerate(flags) if row_flags)
+        return out
+
+    def _put(self, rows, source: str, sigma=None, eta=None, certified=True, min_gap=np.nan) -> None:
+        self.source[rows] = SOURCES.index(source)
+        if sigma is not None:
+            self.sigma[rows] = sigma
+            self.sigma_na[rows] = False
+        if eta is not None:
+            self.eta[rows] = eta
+            self.eta_na[rows] = False
+        self.certified[rows] = certified
+        self.min_gap[rows] = min_gap
+
+    def _flag(self, rows: np.ndarray, flags: tuple[str, ...]) -> None:
+        self.flags.update(dict.fromkeys(rows.tolist(), flags))
+
+    def _put_record(self, i: int, rec: SampleRecord) -> None:
+        self._put(i, rec.source, rec.sigma, rec.eta, rec.certified)
+        if rec.flags:
+            self.flags[i] = rec.flags
+
+    def outcomes(self) -> tuple[list[Outcome], np.ndarray]:
+        """The distinct (sigma, eta, source, certified) of the rows, None for
+        NA, and the index of each row's outcome in that list."""
+        cols = np.stack([self.sigma, self.eta, self.sigma_na, self.eta_na, self.source, self.certified])
+        low = cols.min(axis=1, initial=0)[:, None]
+        cols -= low
+        dims = tuple((cols.max(axis=1, initial=0) + 1).tolist())
+        keys, inv = np.unique(np.ravel_multi_index(tuple(cols), dims), return_inverse=True)
+        values = (np.stack(np.unravel_index(keys, dims)) + low).T.tolist()
+        return ([(None if sigma_na else sigma, None if eta_na else eta, SOURCES[source], bool(certified))
+                 for sigma, eta, sigma_na, eta_na, source, certified in values], inv.reshape(-1))
+
+    def records(self) -> list[SampleRecord]:
+        """The samples as records, in the order of the points."""
+        outcomes, inv = self.outcomes()
+        flags = self.flags
+        return [SampleRecord(pt, *outcomes[k], flags.get(i, ()))
+                for i, (pt, k) in enumerate(zip(self.points, inv.tolist()))]
+
+    def flagged(self) -> np.ndarray:
+        """Which rows carry flags."""
+        mask = np.zeros(len(self.source), bool)
+        mask[list(self.flags)] = True
+        return mask
+
+    def uncertain(self) -> np.ndarray:
+        """Which samples were evaluated but are uncertified or flagged."""
+        evaluated = (self.source != SOURCES.index(SOURCE_SKIPPED)) & ~self.sigma_na
+        return evaluated & (~self.certified | self.flagged())
+
+    def smallest_margin(self) -> tuple[TorusPoint, float] | None:
+        """The first point with the smallest finite min_gap, and that gap;
+        None when no row has one."""
+        finite = np.flatnonzero(np.isfinite(self.min_gap))
+        if not len(finite):
+            return None
+        i = int(finite[np.argmin(self.min_gap[finite])])
+        return self.points[i], float(self.min_gap[i])
+
+
 def uncertain_records(records: list[SampleRecord]) -> list[SampleRecord]:
-    """The samples that were evaluated but are uncertified or flagged."""
-    return [rec for rec in records
-            if (not rec.certified or rec.flags) and rec.source != SOURCE_SKIPPED and rec.sigma is not None]
+    """The samples that were evaluated but are uncertified or flagged (Sweep.uncertain)."""
+    return [records[i] for i in np.flatnonzero(Sweep.of(records).uncertain()).tolist()]
 
 
 @dataclass(frozen=True)
@@ -136,23 +254,20 @@ def _evaluate_point(link: ColoredLinkData, slope_data: SlopeData | None,
 
 
 def _evaluate_rows(link: ColoredLinkData, slope_data: SlopeData | None, batch_faces: bool,
-                   points: list[TorusPoint], d: int, rows: np.ndarray, nums: np.ndarray,
-                   tau: float, records: list[SampleRecord | None]) -> None:
-    # Fills records[i] for the rows it classifies, points[rows[r]] having the
-    # turns nums[r] / d.  Interior rows are one batch of forms; face rows with
+                   d: int, rows: np.ndarray, nums: np.ndarray, tau: float, out: Sweep) -> None:
+    # Fills the rows of out it classifies, row rows[r] having the turns
+    # nums[r] / d.  Interior rows are one batch of forms; face rows with
     # exactly the distinguished coordinate 1 are one batch when batch_faces
     # (the link-level face hypotheses hold); other face and multi-one rows are
     # skipped here.  The rest, and any row a batch cannot classify, are left
-    # empty for _evaluate_point.
+    # pending for _evaluate_point.
     zero = nums == 0
     count = zero.sum(axis=1)
     inner = count == 0
     if inner.any():
         h, scale = hermitian_forms(link, numerator_coefficients(d, nums[inner]))
-        results = zip(rows[inner].tolist(), *(col.tolist() for col in inertia_many(h, scale, tau)[:4]))
-        for i, sigma, eta, certified, ok in results:
-            if ok:
-                records[i] = SampleRecord(points[i], sigma, eta, SOURCE_INTERIOR, certified)
+        sigma, eta, certified, ok, min_gap = inertia_many(h, scale, tau)
+        out._put(rows[inner][ok], SOURCE_INTERIOR, sigma[ok], eta[ok], certified[ok], min_gap[ok])
     if link.mu == 1:
         return  # omega = 1 through the linking matrix, per point
     dist = slope_data.distinguished_color if slope_data is not None else 0
@@ -160,18 +275,16 @@ def _evaluate_rows(link: ColoredLinkData, slope_data: SlopeData | None, batch_fa
     if batch_faces and at_dist.any():
         coef = numerator_coefficients(d, np.delete(nums[at_dist], dist - 1, axis=1))
         h, scale = hermitian_forms(slope_data.base, coef)
-        sigma, _, certified, ok, _ = inertia_many(h, scale, tau)
+        sigma, _, certified, ok, min_gap = inertia_many(h, scale, tau)
         sign, infinite, slope_ok = slope_signs(slope_data, coef, tau)
-        results = zip(rows[at_dist].tolist(), (sigma + sign).tolist(), certified.tolist(),
-                      infinite.tolist(), (ok & slope_ok).tolist())
-        for i, sigma, certified, inf, ok in results:
-            if ok:
-                records[i] = SampleRecord(points[i], sigma, None, SOURCE_FACE, certified,
-                                          (FLAG_INFINITE_SLOPE,) if inf else ())
-    for i in rows[(count == 1) & ~at_dist].tolist():
-        records[i] = SampleRecord(points[i], None, None, SOURCE_SKIPPED, True, (FLAG_FACE_UNAVAILABLE,))
-    for i in rows[count > 1].tolist():
-        records[i] = SampleRecord(points[i], None, None, SOURCE_SKIPPED, True)
+        ok = ok & slope_ok
+        face = rows[at_dist]
+        out._put(face[ok], SOURCE_FACE, (sigma + sign)[ok], None, certified[ok], min_gap[ok])
+        out._flag(face[ok & infinite], (FLAG_INFINITE_SLOPE,))
+    unavailable = rows[(count == 1) & ~at_dist]
+    out._put(unavailable, SOURCE_SKIPPED)
+    out._flag(unavailable, (FLAG_FACE_UNAVAILABLE,))
+    out._put(rows[count > 1], SOURCE_SKIPPED)
 
 
 def _faces_hold(link: ColoredLinkData, slope_data: SlopeData | None) -> bool:
@@ -185,26 +298,36 @@ def _faces_hold(link: ColoredLinkData, slope_data: SlopeData | None) -> bool:
     return True
 
 
-def sample_map(link: ColoredLinkData, points: Iterable[TorusPoint],
-               slope_data: SlopeData | None = None, tau: float = DEFAULT_TAU) -> list[SampleRecord]:
-    """Evaluate signature/nullity over the given points, in their order."""
+def sweep(link: ColoredLinkData, points: Iterable[TorusPoint],
+          slope_data: SlopeData | None = None, tau: float = DEFAULT_TAU) -> Sweep:
+    """Evaluate signature/nullity over the given points, in their order, as columns.
+
+    A Lattice is kept as it is; any other iterable is read into a list.
+    """
     if not link.has_seifert():
         raise MissingSeifertData(f"link {link.name!r} has no Seifert data; nothing to sample")
     size = max(1, min(_CHUNK_POINTS, _CHUNK_ENTRIES // max(1, link.g ** 2)))
-    if isinstance(points, Lattice) and points.mu == link.mu:
-        groups = denominator_groups(points)
-        points = list(points)
+    if isinstance(points, Lattice):
+        groups = denominator_groups(points) if points.mu == link.mu else []
     else:  # the points of the link's arity, grouped by denominator
         points = list(points)
         same = np.array([i for i, pt in enumerate(points) if pt.mu == link.mu])
         groups = [(d, same[rows], nums) for d, rows, nums in denominator_groups([points[i] for i in same])]
     batch_faces = _faces_hold(link, slope_data)
-    records: list[SampleRecord | None] = [None] * len(points)
+    out = Sweep.empty(points)
     for d, rows, nums in groups:
         for b in range(0, len(rows), size):
-            _evaluate_rows(link, slope_data, batch_faces, points, d, rows[b:b + size], nums[b:b + size],
-                           tau, records)
-    return [rec or _evaluate_point(link, slope_data, pt, tau) for pt, rec in zip(points, records)]
+            _evaluate_rows(link, slope_data, batch_faces, d, rows[b:b + size], nums[b:b + size], tau, out)
+    for i in np.flatnonzero(out.source < 0).tolist():
+        out._put_record(i, _evaluate_point(link, slope_data, points[i], tau))
+    return out
+
+
+def sample_map(link: ColoredLinkData, points: Iterable[TorusPoint],
+               slope_data: SlopeData | None = None, tau: float = DEFAULT_TAU) -> list[SampleRecord]:
+    """Evaluate signature/nullity over the given points, in their order: the
+    records of sweep."""
+    return sweep(link, points, slope_data, tau).records()
 
 
 def constancy_check(link: ColoredLinkData, hosokawa_poly: LaurentPoly, n: int,
@@ -222,9 +345,9 @@ def constancy_check(link: ColoredLinkData, hosokawa_poly: LaurentPoly, n: int,
     if hosokawa_poly.mu != link.mu:
         raise InvalidInput("polynomial arity does not match the link")
     points = grid(n, link.mu, include_faces=link.mu == 1)
-    records = sample_map(link, points, None, tau)
-    known = np.array([rec.sigma is not None and rec.certified for rec in records])
-    sigma = np.array([rec.sigma or 0 for rec in records])
+    result = sweep(link, points, None, tau)
+    known = ~result.sigma_na & result.certified
+    sigma = result.sigma
     index = np.arange(len(points)).reshape((n - points.start,) * link.mu)
 
     # the certified pairs (node, next node along the axis) whose signatures differ
@@ -252,8 +375,9 @@ def constancy_check(link: ColoredLinkData, hosokawa_poly: LaurentPoly, n: int,
     ok = node_ok[a] & node_ok[b] & (np.hypot(mid_z.real, mid_z.imag) > cut)
     a, b, axis = a[ok], b[ok], axis[ok]
     order = np.lexsort((axis, a))
-    return [ConstancyViolation(records[i].point, records[j].point, records[i].sigma, records[j].sigma)
-            for i, j in zip(a[order].tolist(), b[order].tolist())]
+    a, b = a[order], b[order]
+    return [ConstancyViolation(points[i], points[j], sigma_a, sigma_b)
+            for i, j, sigma_a, sigma_b in zip(a.tolist(), b.tolist(), sigma[a].tolist(), sigma[b].tolist())]
 
 
 def concordance_report(link: ColoredLinkData, slope_data: SlopeData | None,
@@ -265,70 +389,97 @@ def concordance_report(link: ColoredLinkData, slope_data: SlopeData | None,
     negative).  No witness means the test is inconclusive.  Samples that
     failed to evaluate are counted as errors, with the first of them.
     """
-    records = sample_map(link, tbang_points(p, d, link.mu), slope_data, tau)
-    # a Skipped record has no sigma, so a witness is an evaluated sample
-    witnesses = [(rec.point, rec.sigma) for rec in records if rec.sigma and rec.certified and not rec.flags]
-    failed = [rec for rec in records if FLAG_ERROR in rec.flags]
+    result = sweep(link, tbang_points(p, d, link.mu), slope_data, tau)
+    # a Skipped sample has no sigma, so a witness is an evaluated sample
+    rows = np.flatnonzero(~result.sigma_na & (result.sigma != 0) & result.certified & ~result.flagged())
+    witnesses = tuple((result.points[i], sigma) for i, sigma in zip(rows.tolist(), result.sigma[rows].tolist()))
+    failed = sorted(i for i, flags in result.flags.items() if FLAG_ERROR in flags)
     verdict = "Obstructed" if witnesses else "Inconclusive"
-    first_error = (failed[0].point, failed[0].flags[1]) if failed else None
-    return ConcordanceReport(verdict, tuple(witnesses), p, d, len(records), len(uncertain_records(records)),
+    first_error = (result.points[failed[0]], result.flags[failed[0]][1]) if failed else None
+    return ConcordanceReport(verdict, witnesses, p, d, len(result.points), int(result.uncertain().sum()),
                              len(failed), first_error)
 
 
 # -- output formats --------------------------------------------------------------
 
 
-def records_to_csv(records: list[SampleRecord], mu: int) -> str:
-    out = io.StringIO()
-    out.write(",".join([f"q{i}" for i in range(1, mu + 1)] + ["sigma", "eta", "source", "certified"]))
-    out.write("\n")
+def _turn_texts(points: Sequence[TorusPoint]) -> np.ndarray:
+    """The object array of each point's turn strings joined by commas (no
+    turn string holds a comma).
+
+    A lattice formats each distinct numerator k once, as str(Fraction(k, n)),
+    and joins its columns by array additions; other points go through
+    turn_formatter.
+    """
+    if isinstance(points, Lattice):
+        nums = points.numerators()
+        keys, inv = np.unique(nums, return_inverse=True)
+        first = np.array([str(Fraction(k, points.n)) for k in keys.tolist()], dtype=object)
+        rest = np.array(["," + text for text in first.tolist()], dtype=object)
+        inv = inv.reshape(nums.shape)
+        texts = first[inv[:, 0]]
+        for j in range(1, points.mu):
+            texts = texts + rest[inv[:, j]]
+        return texts
     turn_strings = turn_formatter()
-    for rec in records:
-        sigma = "NA" if rec.sigma is None else str(rec.sigma)
-        eta = "NA" if rec.eta is None else str(rec.eta)
-        cert = "true" if rec.certified else "false"
-        out.write(",".join(turn_strings(rec.point) + [sigma, eta, rec.source, cert]))
-        out.write("\n")
-    return out.getvalue()
+    return np.array([",".join(turn_strings(pt)) for pt in points], dtype=object)
 
 
-def records_to_json(records: list[SampleRecord], mu: int) -> str:
-    turn_strings = turn_formatter()
+def _na(value: int | None) -> str:
+    return "NA" if value is None else str(value)
+
+
+def records_to_csv(records: Sweep | list[SampleRecord], mu: int) -> str:
+    result = Sweep.of(records)
+    outcomes, inv = result.outcomes()
+    tails = np.array([f",{_na(sigma)},{_na(eta)},{source},{'true' if certified else 'false'}\n"
+                      for sigma, eta, source, certified in outcomes], dtype=object)
+    header = ",".join([f"q{i}" for i in range(1, mu + 1)] + ["sigma", "eta", "source", "certified"])
+    return header + "\n" + "".join((_turn_texts(result.points) + tails[inv]).tolist())
+
+
+def records_to_json(records: Sweep | list[SampleRecord], mu: int) -> str:
+    result = Sweep.of(records)
+    outcomes, inv = result.outcomes()
+    flags = result.flags
+    rows = zip(_turn_texts(result.points).tolist(), map(outcomes.__getitem__, inv.tolist()))
     payload = {
         "mu": mu,
         "records": [
             {
-                "turns": turn_strings(rec.point),
-                "sigma": rec.sigma,
-                "eta": rec.eta,
-                "source": rec.source,
-                "certified": rec.certified,
-                "flags": list(rec.flags),
+                "turns": texts.split(","),
+                "sigma": sigma,
+                "eta": eta,
+                "source": source,
+                "certified": certified,
+                "flags": list(flags.get(i, ())),
             }
-            for rec in records
+            for i, (texts, (sigma, eta, source, certified)) in enumerate(rows)
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _pixel(rec: SampleRecord) -> tuple[int, int, int]:
-    if rec.source == SOURCE_SKIPPED or rec.sigma is None:
+def _pixel(sigma: int | None, source: str, certified: bool) -> tuple[int, int, int]:
+    if source == SOURCE_SKIPPED or sigma is None:
         return (0, 0, 0)
-    if not rec.certified:
+    if not certified:
         return (160, 160, 160)
-    s = rec.sigma
-    if s == 0:
+    if sigma == 0:
         return (255, 255, 255)
-    shade = max(0, 255 - 64 * abs(s))
-    return (255, shade, shade) if s > 0 else (shade, shade, 255)
+    shade = max(0, 255 - 64 * abs(sigma))
+    return (255, shade, shade) if sigma > 0 else (shade, shade, 255)
 
 
-def records_to_ppm(records: list[SampleRecord], width: int, height: int) -> str:
+def records_to_ppm(records: Sweep | list[SampleRecord], width: int, height: int) -> str:
     """P3 pixmap, one pixel per record, rows in record order (k1 major)."""
-    if width * height != len(records):
-        raise InvalidInput(f"{len(records)} records do not fill {width}x{height}")
+    result = Sweep.of(records)
+    if width * height != len(result.points):
+        raise InvalidInput(f"{len(result.points)} records do not fill {width}x{height}")
+    outcomes, inv = result.outcomes()
+    colours = np.array(["{} {} {}".format(*_pixel(sigma, source, certified))
+                        for sigma, _, source, certified in outcomes], dtype=object)
+    pixels = colours[inv].tolist()
     lines = ["P3", f"{width} {height}", "255"]
-    for r0 in range(height):
-        row = records[r0 * width:(r0 + 1) * width]
-        lines.append(" ".join(f"{c[0]} {c[1]} {c[2]}" for c in map(_pixel, row)))
+    lines += [" ".join(pixels[r0 * width:(r0 + 1) * width]) for r0 in range(height)]
     return "\n".join(lines) + "\n"
