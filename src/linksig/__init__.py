@@ -90,7 +90,9 @@ from .sampler import (
 )
 from .strata import (
     PresentationMatrix,
+    Strata,
     StratumReport,
+    classify,
     elementary_ideal,
     first_ideal_gcd,
     load_presentation,

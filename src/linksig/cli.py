@@ -33,11 +33,10 @@ from .sampler import (
     records_to_csv,
     records_to_json,
     records_to_ppm,
-    sample_map,
     sweep,
 )
-from .strata import DEFAULT_TAU_POLY, load_presentation, save_presentation, stratum_indices
-from .torus import TorusPoint, turn_formatter
+from .strata import DEFAULT_TAU_POLY, classify, load_presentation, save_presentation, strata_to_csv
+from .torus import TorusPoint, lattice
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -165,20 +164,15 @@ def _cmd_hosokawa(args) -> int:
 
 def _cmd_ideals(args) -> int:
     pres = load_presentation(args.presentation)
-    lines = ["q" + ",q".join(str(i) for i in range(1, pres.mu + 1)) + ",index,predicted_nullity,flags"]
-    uncertain = False
     if args.omega:
         points = [TorusPoint.from_string(args.omega)]
+    elif args.grid < 2:
+        raise InvalidInput("grid needs n >= 2")
     else:
-        points = [pt for pt in grid(args.grid, pres.mu, include_faces=True) if not pt.is_basepoint()]
-    turn_strings = turn_formatter()
-    for rep in stratum_indices(pres, points, args.tau_poly):
-        predicted = "NA" if rep.predicted_nullity is None else str(rep.predicted_nullity)
-        flags = "|".join(sorted(rep.flags))
-        uncertain = uncertain or "Uncertain" in rep.flags
-        lines.append(",".join(turn_strings(rep.point) + [str(rep.index), predicted, flags]))
-    _write_output("\n".join(lines) + "\n", args.out)
-    return EXIT_UNCERTAIN if uncertain else EXIT_OK
+        points = lattice(args.grid, pres.mu)[1:]  # every k_j/n but the base point, which comes first
+    result = classify(pres, points, args.tau_poly)
+    _write_output(strata_to_csv(result, pres.mu), args.out)
+    return EXIT_UNCERTAIN if result.uncertain.any() else EXIT_OK
 
 
 def _cmd_report(args) -> int:
@@ -268,6 +262,9 @@ def main(argv: list[str] | None = None) -> int:
     except LinksigError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
+    except MemoryError as exc:  # a grid or lattice whose arrays cannot be allocated
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

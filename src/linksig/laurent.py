@@ -10,13 +10,22 @@ Equality up to units (a sign and monomial factors) is decided through a
 canonical representative: shift so the minimal exponent of every variable is
 zero, then fix the sign so the lexicographically smallest monomial has a
 positive coefficient.
+
+Evaluation on the torus substitutes roots of unity.  eval_at does it for one
+point.  eval_family does it for several polynomials at the integer
+numerators of a group of points over one denominator: the exponent sums of
+their distinct monomials are one integer matrix product, the roots one
+table (torus.unit_roots), and each polynomial is summed from the table in
+its own term order.  eval_numerators is eval_family of one polynomial, and
+eval_many groups a list of points for it.  Every path gives eval_at's
+values bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -207,6 +216,29 @@ def eval_at(p: LaurentPoly, point: TorusPoint) -> complex:
     return total
 
 
+def _monomial_roots(monos: Sequence[Monomial], d: int, half_step: bool, nums: np.ndarray) -> np.ndarray:
+    """The (P, T) array of t^e at the points with turns nums / d, one column
+    per monomial e: unit_root(e . n mod den, den) with den = d, or 2 * d for
+    half-step exponents, from one integer matrix product and one unit_roots
+    table."""
+    mu = nums.shape[1]
+    den = 2 * d if half_step else d  # stored exponent k stands for t^(k/2)
+    exps = np.array(monos, dtype=object).reshape(len(monos), mu) % den
+    # exact in int64 while every exponent sum mu * (d - 1) * (den - 1) fits
+    dtype = np.int64 if mu * d * den < 1 << 63 else object
+    sums = nums.astype(dtype) @ exps.astype(dtype).T
+    sums %= den
+    return unit_roots(sums, den)
+
+
+def _sum_terms(p: LaurentPoly, roots: np.ndarray, cols: Sequence[int]) -> np.ndarray:
+    """sum_t c_t * roots[:, cols[t]] over the terms of p, in its term order."""
+    total = np.zeros(len(roots), dtype=np.complex128)
+    for c, col in zip(p.terms.values(), cols):
+        total += _float_coefficient(c) * roots[:, col]
+    return total
+
+
 def eval_numerators(p: LaurentPoly, d: int, nums: np.ndarray) -> np.ndarray:
     """p at the points whose turns are the rows of nums / d, as in eval_at.
 
@@ -217,18 +249,26 @@ def eval_numerators(p: LaurentPoly, d: int, nums: np.ndarray) -> np.ndarray:
     order with the same float operations.  (A matmul or np.sum of the terms
     would reorder the additions.)
     """
-    total = np.zeros(len(nums), dtype=np.complex128)
-    if p.is_zero():
-        return total
-    den = 2 * d if p.half_step else d
-    exps = np.array(list(p.terms), dtype=object) % den
-    # exact in int64 while every exponent sum mu * (d - 1) * (den - 1) fits
-    dtype = np.int64 if p.mu * d * den < 1 << 63 else object
-    m = (nums.astype(dtype) @ exps.astype(dtype).T) % den
-    roots = unit_roots(m, den)
-    for t, c in enumerate(p.terms.values()):
-        total += _float_coefficient(c) * roots[:, t]
-    return total
+    return next(eval_family([p], d, nums))
+
+
+def eval_family(polys: Sequence[LaurentPoly], d: int, nums: np.ndarray) -> Iterator[np.ndarray]:
+    """eval_numerators(p, d, nums) for each p in turn, from one table of
+    roots for the distinct monomials of all of them.
+
+    The values are computed lazily, so an error (a coefficient too large for
+    a float) is raised when its polynomial is reached.
+    """
+    steps = {p.half_step for p in polys}
+    if len(steps) > 1:
+        raise InvalidInput("cannot mix half-step and integer-step polynomials")
+    column: dict[Monomial, int] = {}
+    for p in polys:
+        for mono in p.terms:
+            column.setdefault(mono, len(column))
+    roots = _monomial_roots(list(column), d, True in steps, nums)
+    for p in polys:
+        yield _sum_terms(p, roots, [column[mono] for mono in p.terms])
 
 
 def eval_many(p: LaurentPoly, points: Sequence[TorusPoint]) -> np.ndarray:

@@ -38,7 +38,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -49,7 +48,7 @@ from .hermitian import DEFAULT_TAU, inertia, inertia_many
 from .invariants import check_face_hypotheses, face_parts, signature_at_full_one, slope_signs
 from .laurent import LaurentPoly, eval_numerators
 from .strata import DEFAULT_TAU_POLY
-from .torus import Lattice, TorusPoint, denominator_groups, lattice, turn_formatter
+from .torus import Lattice, TorusPoint, denominator_groups, lattice, turn_texts
 
 SOURCE_INTERIOR = "Interior"
 SOURCE_FACE = "Face"
@@ -403,28 +402,6 @@ def concordance_report(link: ColoredLinkData, slope_data: SlopeData | None,
 # -- output formats --------------------------------------------------------------
 
 
-def _turn_texts(points: Sequence[TorusPoint]) -> np.ndarray:
-    """The object array of each point's turn strings joined by commas (no
-    turn string holds a comma).
-
-    A lattice formats each distinct numerator k once, as str(Fraction(k, n)),
-    and joins its columns by array additions; other points go through
-    turn_formatter.
-    """
-    if isinstance(points, Lattice):
-        nums = points.numerators()
-        keys, inv = np.unique(nums, return_inverse=True)
-        first = np.array([str(Fraction(k, points.n)) for k in keys.tolist()], dtype=object)
-        rest = np.array(["," + text for text in first.tolist()], dtype=object)
-        inv = inv.reshape(nums.shape)
-        texts = first[inv[:, 0]]
-        for j in range(1, points.mu):
-            texts = texts + rest[inv[:, j]]
-        return texts
-    turn_strings = turn_formatter()
-    return np.array([",".join(turn_strings(pt)) for pt in points], dtype=object)
-
-
 def _na(value: int | None) -> str:
     return "NA" if value is None else str(value)
 
@@ -435,14 +412,14 @@ def records_to_csv(records: Sweep | list[SampleRecord], mu: int) -> str:
     tails = np.array([f",{_na(sigma)},{_na(eta)},{source},{'true' if certified else 'false'}\n"
                       for sigma, eta, source, certified in outcomes], dtype=object)
     header = ",".join([f"q{i}" for i in range(1, mu + 1)] + ["sigma", "eta", "source", "certified"])
-    return header + "\n" + "".join((_turn_texts(result.points) + tails[inv]).tolist())
+    return header + "\n" + "".join((turn_texts(result.points) + tails[inv]).tolist())
 
 
 def records_to_json(records: Sweep | list[SampleRecord], mu: int) -> str:
     result = Sweep.of(records)
     outcomes, inv = result.outcomes()
     flags = result.flags
-    rows = zip(_turn_texts(result.points).tolist(), map(outcomes.__getitem__, inv.tolist()))
+    rows = zip(turn_texts(result.points).tolist(), map(outcomes.__getitem__, inv.tolist()))
     payload = {
         "mu": mu,
         "records": [

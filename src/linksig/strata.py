@@ -6,18 +6,26 @@ the conventions E_r = (0) for r <= 0 and E_r = (1) for r > m.  The stratum
 of a pointed-torus sample is the largest r whose ideal vanishes there; it
 predicts the nullity when at most two coordinates equal 1.
 
-stratum_indices classifies a whole list of samples at once.  Samples that
-share the common denominator d of their turns form one group with integer
-numerators; each nonzero generator of E_r is evaluated over the group in one
-pass (laurent.eval_numerators) and compared with its cut, r = 1, 2, ..., and
-a sample drops out at its first non-vanishing ideal.  The classification is
-the one a per-sample loop over vanishes_at would give, bit for bit: the
-exponent sums are exact integers, the roots are the same unit_root values,
-the terms are summed in the same order, and magnitudes come from np.hypot,
-which rounds as abs(complex) does.  A sample is flagged Uncertain when a
-magnitude it was classified by lies in the uncertain band of its cut, the
-band that also decides the certification of inertia
-(hermitian.in_uncertain_band).
+classify sorts a whole sequence of samples into strata and returns the
+result as numpy columns (Strata): the index, whether the sample is
+Uncertain, and how many coordinates equal 1, counted from the numerators.
+A Lattice (ideals --classify sweeps lattice(n, mu)[1:]) is never expanded
+into points; stratum_indices and stratum_index are views that build one
+StratumReport per sample.  Samples that share the common denominator d of
+their turns form one group with integer numerators; per group and per
+elementary ideal E_r, r = 1, 2, ..., the exponent sums of the distinct
+monomials of the ideal's nonzero generators are one integer matrix product
+and their roots one table (laurent.eval_family), each generator is summed
+from that table and compared with its cut, and a sample drops out at its
+first non-vanishing ideal.  The classification is the one a per-sample loop
+over vanishes_at would give, bit for bit: the exponent sums are exact
+integers, the roots are the same unit_root values, the terms are summed in
+the same order, and magnitudes come from np.hypot, which rounds as
+abs(complex) does.  A sample is flagged Uncertain when a magnitude it was
+classified by lies in the uncertain band of its cut, the band that also
+decides the certification of inertia (hermitian.in_uncertain_band).  The
+ideals CSV (strata_to_csv) is assembled from the columns: one string per
+distinct turn and one tail per distinct (index, predicted, flags).
 """
 
 from __future__ import annotations
@@ -25,15 +33,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .clink import malformed_record, strict_int
 from .errors import BasePoint, InvalidInput
 from .hermitian import in_uncertain_band
-from .laurent import LaurentPoly, eval_at, eval_numerators, format_poly, gcd_many, parse_poly, unit_normalize
-from .torus import TorusPoint, denominator_groups
+from .laurent import LaurentPoly, eval_at, eval_family, format_poly, gcd_many, parse_poly, unit_normalize
+from .torus import Lattice, TorusPoint, denominator_groups, map_keys, turn_texts
 
 DEFAULT_TAU_POLY = 1e-8
 
@@ -161,34 +169,71 @@ class StratumReport:
     flags: frozenset[str]
 
 
-def stratum_indices(p: PresentationMatrix, points: Sequence[TorusPoint],
-                    tau_poly: float = DEFAULT_TAU_POLY) -> list[StratumReport]:
-    """The largest r whose elementary ideal vanishes at each sample, in order.
+class Strata(NamedTuple):
+    """The classification of a point sequence, one row per point, as columns.
+
+    points is the sequence as given (a Lattice stays a Lattice); index is
+    the largest r whose elementary ideal vanishes (int64), uncertain whether
+    a magnitude the row was classified by lies in the uncertain band, and
+    ones the number of coordinates equal to 1 (int64), more than two of
+    which suppress the nullity prediction.
+    """
+
+    points: Sequence[TorusPoint]
+    index: np.ndarray
+    uncertain: np.ndarray
+    ones: np.ndarray
+
+    def reports(self) -> list[StratumReport]:
+        """One StratumReport per point, in order."""
+        reports = []
+        rows = zip(self.points, self.index.tolist(), self.uncertain.tolist(), self.ones.tolist())
+        for pt, i, unsure, ones in rows:
+            flags = {FLAG_UNCERTAIN} if unsure else set()
+            predicted = i
+            if ones > 2:
+                flags.add(FLAG_MORE_THAN_TWO_ONES)
+                predicted = None
+            reports.append(StratumReport(pt, i, predicted, frozenset(flags)))
+        return reports
+
+
+def classify(p: PresentationMatrix, points: Sequence[TorusPoint],
+             tau_poly: float = DEFAULT_TAU_POLY) -> Strata:
+    """The largest r whose elementary ideal vanishes at each sample, as columns.
 
     Index r >= 1 needs every nonzero generator of E_1, ..., E_r to vanish
     (vanishes_at); a sample is flagged Uncertain when a generator of one of
     those ideals, or of the first that does not vanish, has |value| in the
-    uncertain band of its cut (hermitian.in_uncertain_band).  The nullity
-    prediction is suppressed when more than two coordinates equal 1.  The
-    samples are classified in batches, one per common denominator (see the
-    module docstring).
+    uncertain band of its cut (hermitian.in_uncertain_band).  A Lattice is
+    checked once for arity and, from its numerators, for the base point; a
+    list point by point, so its first offending point decides.  The samples
+    are classified in batches, one per common denominator (see the module
+    docstring).
     """
-    for pt in points:
-        if pt.mu != p.mu:
-            raise InvalidInput(f"point arity {pt.mu} != presentation arity {p.mu}")
-        if pt.is_basepoint():
-            raise BasePoint("the stratification lives on the pointed torus")
+    if isinstance(points, Lattice):
+        if points.mu != p.mu:
+            raise InvalidInput(f"point arity {points.mu} != presentation arity {p.mu}")
+    else:
+        for pt in points:
+            if pt.mu != p.mu:
+                raise InvalidInput(f"point arity {pt.mu} != presentation arity {p.mu}")
+            if pt.is_basepoint():
+                raise BasePoint("the stratification lives on the pointed torus")
     index = np.zeros(len(points), dtype=np.int64)
     uncertain = np.zeros(len(points), dtype=bool)
+    ones = np.zeros(len(points), dtype=np.int64)
     for d, rows, nums in denominator_groups(points):
+        at_one = nums == 0
+        if at_one.all(axis=1).any():  # only a Lattice gets here with its base point
+            raise BasePoint("the stratification lives on the pointed torus")
+        ones[rows] = at_one.sum(axis=1)
         live = np.asarray(rows)  # samples whose index is still climbing
         for r in range(1, p.m_generators + 1):
+            gens = [g for g in p.elementary_ideal(r) if not g.is_zero()]
             near = np.zeros(len(live), dtype=bool)
             vanish = np.ones(len(live), dtype=bool)
-            for g in p.elementary_ideal(r):
-                if g.is_zero():
-                    continue
-                z = eval_numerators(g, d, nums)
+            for g, z in zip(gens, eval_family(gens, d, nums)):
                 v = np.hypot(z.real, z.imag)  # abs(complex) bit for bit; np.abs may differ
                 cut = _vanishing_cut(g, tau_poly)
                 near |= in_uncertain_band(v, cut)
@@ -198,21 +243,40 @@ def stratum_indices(p: PresentationMatrix, points: Sequence[TorusPoint],
             index[live] = r
             if not len(live):
                 break
-    reports = []
-    for pt, i, unsure in zip(points, index.tolist(), uncertain.tolist()):
-        flags = {FLAG_UNCERTAIN} if unsure else set()
-        predicted = i
-        if len(pt.unit_coordinates()) > 2:
-            flags.add(FLAG_MORE_THAN_TWO_ONES)
-            predicted = None
-        reports.append(StratumReport(pt, i, predicted, frozenset(flags)))
-    return reports
+    return Strata(points, index, uncertain, ones)
+
+
+def stratum_indices(p: PresentationMatrix, points: Sequence[TorusPoint],
+                    tau_poly: float = DEFAULT_TAU_POLY) -> list[StratumReport]:
+    """classify's rows as StratumReports, in order."""
+    return classify(p, points, tau_poly).reports()
 
 
 def stratum_index(p: PresentationMatrix, point: TorusPoint,
                   tau_poly: float = DEFAULT_TAU_POLY) -> StratumReport:
     """stratum_indices at one sample."""
     return stratum_indices(p, [point], tau_poly)[0]
+
+
+def _csv_tail(code: int) -> str:
+    # code = (index * 2 + more than two ones) * 2 + uncertain
+    index, unsure = divmod(code, 2)
+    index, many = divmod(index, 2)
+    flags = [FLAG_MORE_THAN_TWO_ONES] * many + [FLAG_UNCERTAIN] * unsure  # sorted
+    return f",{index},{'NA' if many else index},{'|'.join(flags)}\n"
+
+
+def strata_to_csv(result: Strata, mu: int) -> str:
+    """The ideals CSV: turns, index, predicted_nullity (NA when suppressed)
+    and the sorted flags joined by '|', one line per sample.
+
+    Each row is its turn text (torus.turn_texts) plus one tail per distinct
+    (index, predicted, flags).
+    """
+    codes = (result.index * 2 + (result.ones > 2)) * 2 + result.uncertain
+    tails = map_keys(codes, 4 * int(result.index.max(initial=0)) + 4, _csv_tail, object)
+    header = ",".join([f"q{i}" for i in range(1, mu + 1)] + ["index", "predicted_nullity", "flags"])
+    return header + "\n" + "".join((turn_texts(result.points) + tails).tolist())
 
 
 # -- file schema ----------------------------------------------------------------

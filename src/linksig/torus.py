@@ -12,7 +12,10 @@ turns k/n without normalising each turn again (a whole lattice in one
 product over its turns, a slice point by point).  Batched evaluation groups
 points by the common denominator d of their turns (denominator_groups; a
 lattice is one group) and reads unit_root(k, d) for integer arrays of k from
-a table of the distinct k (unit_roots).
+a table of the distinct k (unit_roots).  The distinct k of an int64 array
+no shorter than d are marked in a d-long table, with no sort
+(map_keys); turn_texts formats a lattice's turns the same way, each
+distinct k/n once.
 """
 
 from __future__ import annotations
@@ -62,15 +65,32 @@ def unit_root(num: int, den: int) -> complex:
     return z
 
 
+def map_keys(ks: np.ndarray, den: int, value: Callable[[int], object], dtype) -> np.ndarray:
+    """value(k) for every entry k of an integer array, 0 <= k < den, as an
+    array of ks's shape, calling value once per distinct k.
+
+    An int64 array with den <= ks.size marks its keys in a den-long table
+    and reads the values from a den-long table, with no sort; any other
+    array goes through np.unique.
+    """
+    if ks.dtype == np.int64 and den <= ks.size:
+        present = np.zeros(den, dtype=bool)
+        present[ks] = True
+        keys = np.flatnonzero(present)
+        table = np.zeros(den, dtype=dtype)
+        table[keys] = [value(k) for k in keys.tolist()]
+        return table[ks]
+    keys, inv = np.unique(ks, return_inverse=True)
+    return np.array([value(k) for k in keys.tolist()], dtype=dtype)[inv.reshape(ks.shape)]
+
+
 def unit_roots(ks: np.ndarray, den: int) -> np.ndarray:
     """unit_root(k, den) for every entry k of an integer array, 0 <= k < den.
 
     Each value is the one unit_root returns, read from a table of the
-    distinct entries.
+    distinct entries (map_keys).
     """
-    keys, inv = np.unique(ks, return_inverse=True)
-    table = np.array([unit_root(int(k), den) for k in keys], dtype=np.complex128)
-    return table[inv.reshape(ks.shape)]
+    return map_keys(ks, den, lambda k: unit_root(k, den), np.complex128)
 
 
 # Python's default limit on int-from-string conversion, which parse_poly enforces too
@@ -264,6 +284,25 @@ class Lattice(Sequence[TorusPoint]):
         ks = np.stack(np.unravel_index(flat, (self.n - self.start,) * self.mu), axis=1)
         ks += self.start
         return ks.astype(np.int64, copy=False)
+
+
+def turn_texts(points: Sequence[TorusPoint]) -> np.ndarray:
+    """The object array of each point's turn strings joined by commas (no
+    turn string holds a comma).
+
+    A lattice formats each distinct numerator k once, as str(Fraction(k, n)),
+    and joins its columns by array additions; other points go through
+    turn_formatter.
+    """
+    if isinstance(points, Lattice):
+        nums, n = points.numerators(), points.n
+        texts = map_keys(nums[:, 0], n, lambda k: str(Fraction(k, n)), object)
+        rest = map_keys(nums[:, 1:], n, lambda k: "," + str(Fraction(k, n)), object)
+        for j in range(points.mu - 1):
+            texts = texts + rest[:, j]
+        return texts
+    turn_strings = turn_formatter()
+    return np.array([",".join(turn_strings(pt)) for pt in points], dtype=object)
 
 
 def lattice(n: int, mu: int, start: int = 0) -> Lattice:

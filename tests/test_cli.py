@@ -174,6 +174,21 @@ def test_oversized_lattices_exit_2_at_once(exported, tmp_path, capsys):
         assert err.count("\n") == 1 and "too large" in err and "Traceback" not in err
 
 
+def test_sweeps_beyond_memory_exit_2(exported, tmp_path, capsys):
+    # each sweep needs arrays of PiB scale or more, which numpy refuses outright
+    assert main(["catalog", "show", "aug4", "--export", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for argv in (["sigmap", exported["link"], "--grid", "100000"],
+                 ["report", exported["link"], "--prime", "3", "--depth", "12"],
+                 ["ideals", str(tmp_path / "aug4.presentation.json"), "--classify", "--grid", "10000"]):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate") and captured.err.count("\n") == 1
+
+
 def test_invalid_inputs_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["sigmap", missing, "--grid", "4"]) == 2
@@ -388,16 +403,6 @@ def test_report_exits_4_on_samples_that_failed(exported):
     failed = [rec for rec in records if rec.flags[:1] == (FLAG_ERROR,)]
     assert len(failed) == 16 and str(failed[0].point) == "(0, 1/3, 1/3)"
     assert all(rec.flags == (FLAG_ERROR, "EigensolverFailure") for rec in failed)
-
-
-def test_sigmap_ppm_rejects_arity_before_sweeping(exported, monkeypatch, capsys):
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("sample_map must not run")
-
-    monkeypatch.setattr(linksig.cli, "sample_map", no_sweep)
-    assert main(["sigmap", exported["link"], "--grid", "3", "--format", "ppm"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "two colors" in captured.err
 
 
 def test_unreadable_inputs_and_outputs_exit_2(exported, tmp_path, capsys):

@@ -6,6 +6,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linksig.clink import seifert_coefficients
 from linksig.errors import InvalidInput, NotDivisible
@@ -15,6 +17,7 @@ from linksig.laurent import (
     divides,
     eq_up_to_units,
     eval_at,
+    eval_family,
     eval_many,
     exact_div,
     format_poly,
@@ -100,6 +103,24 @@ def test_eval_many_equals_eval_at_exactly(rng, half_step):
         assert values.tolist() == [eval_at(p, pt) for pt in pts]
         # np.abs may round complex magnitudes differently; np.hypot is abs
         assert np.hypot(values.real, values.imag).tolist() == [abs(eval_at(p, pt)) for pt in pts]
+
+
+@pytest.mark.parametrize("half_step", [False, True])
+def test_eval_family_equals_eval_at_exactly(rng, half_step):
+    for _ in range(20):
+        mu = rng.randint(1, 3)
+        base = random_poly(rng, mu, max_terms=6, exp_range=(-5, 5), half_step=half_step)
+        # shared and distinct monomials, a zero polynomial, different term counts
+        family = [base, base * 3 + LaurentPoly.const(1, mu, half_step), LaurentPoly.zero(mu, half_step),
+                  random_poly(rng, mu, max_terms=3, exp_range=(-5, 5), half_step=half_step)]
+        pts = _mixed_points(rng, mu, 20)
+        for d, rows, nums in denominator_groups(pts):
+            values = list(eval_family(family, d, nums))
+            assert len(values) == len(family)
+            for p, z in zip(family, values):
+                assert z.tolist() == [eval_at(p, pts[r]) for r in rows]
+    with pytest.raises(InvalidInput, match="cannot mix"):
+        next(eval_family([P("t + 1"), to_half_step(P("t"))], 3, np.array([[1]])))
 
 
 def test_eval_many_edge_cases():
@@ -401,6 +422,20 @@ def test_format_parse_roundtrip(rng):
         text = format_poly(p)
         back = parse_poly(text, mu=mu, half_step=p.half_step)
         assert back == p
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet=st.sampled_from("t123^*+-0 9x(.") | st.characters(), max_size=30),
+       mu=st.integers(1, 3))
+def test_parse_fuzz_round_trips_or_is_invalid_input(text, mu):
+    # mu is given: an inferred mu is the largest variable index in the text, which may be huge
+    try:
+        p = parse_poly(text, mu=mu)
+    except InvalidInput:
+        return
+    formatted = format_poly(p)
+    assert parse_poly(formatted, mu=mu) == p
+    assert format_poly(parse_poly(formatted, mu=mu)) == formatted
 
 
 def test_power_examples():

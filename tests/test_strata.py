@@ -13,6 +13,7 @@ from linksig.strata import (
     FLAG_MORE_THAN_TWO_ONES,
     FLAG_UNCERTAIN,
     PresentationMatrix,
+    classify,
     first_ideal_gcd,
     presentation_from_dict,
     presentation_to_dict,
@@ -20,7 +21,7 @@ from linksig.strata import (
     stratum_indices,
     vanishes_at,
 )
-from linksig.torus import TorusPoint
+from linksig.torus import TorusPoint, lattice
 
 from conftest import random_point, random_poly, random_turn
 
@@ -277,3 +278,64 @@ def test_stratum_indices_huge_denominators():
         reports = stratum_indices(p, pts, tau_poly)
         for pt, rep in zip(pts, reports):
             assert (rep.index, rep.predicted_nullity, rep.flags) == _reference_stratum(p, pt, tau_poly)
+
+
+def _assert_columns_match_reference(p, points, tau_poly):
+    result = classify(p, points, tau_poly)
+    assert result.points is points
+    assert len(result.index) == len(result.uncertain) == len(result.ones) == len(points)
+    reports = stratum_indices(p, points, tau_poly)
+    for pt, rep, i, unsure, ones in zip(points, reports, result.index.tolist(),
+                                        result.uncertain.tolist(), result.ones.tolist()):
+        index, predicted, flags = _reference_stratum(p, pt, tau_poly)
+        assert (i, unsure, ones) == (index, FLAG_UNCERTAIN in flags, len(pt.unit_coordinates()))
+        assert (rep.point, rep.index, rep.predicted_nullity, rep.flags) == (pt, index, predicted, flags)
+    return reports
+
+
+def test_classify_columns_match_per_point_reference_on_lattices_slices_and_lists():
+    rng = random.Random(12)
+    seen_index, seen_flags, term_counts = set(), set(), set()
+    for trial in range(9):
+        mu = 2 + trial % 3
+        p = _random_presentation(rng, mu)
+        term_counts |= {len({len(g.terms) for g in p.elementary_ideal(r) if not g.is_zero()})
+                        for r in range(1, p.m_generators + 1)}
+        n = 5 if mu < 4 else 3
+        whole = lattice(n, mu)[1:]
+        for points in (whole, whole[3:40:3], whole[::-5], list(whole[7:31]), lattice(n, mu, 1)):
+            for tau_poly in (1e-8, 0.3, 2.0):
+                for rep in _assert_columns_match_reference(p, points, tau_poly):
+                    seen_index.add(rep.index)
+                    seen_flags |= rep.flags
+    assert seen_index == {0, 1, 2, 3}
+    assert seen_flags == {FLAG_UNCERTAIN, FLAG_MORE_THAN_TWO_ONES}
+    assert max(term_counts) > 1  # some ideal had generators with different term counts
+
+
+def test_classify_lattices_with_huge_denominators():
+    # mu * n * n >= 2^63: the exponent sums go through Python ints
+    face = P("t1 - 1", mu=2)
+    p = PresentationMatrix(2, [[P("t1*t2 - 1", mu=2) * face, P("t2^-3 + 1", mu=2)],
+                               [P("t1^3 - t2", mu=2), P("t1^-2 + 3", mu=2) * face],
+                               [face, P("2*t2 - t1", mu=2)]])
+    for n in (2**31 + 1, 3 * 10**9 + 7):
+        L = lattice(n, 2)
+        for points in (L[1:9], L[-6:], L[5 * n - 3:5 * n + 4]):
+            for tau_poly in (1e-8, 0.05, 2.0):
+                _assert_columns_match_reference(p, points, tau_poly)
+    one = PresentationMatrix(1, [[P("t^2 + t - 1")], [P("3*t^-1 - t")]])
+    for points in (lattice(2**63 - 1, 1)[1:6], lattice(2**63 - 1, 1)[-5:]):
+        _assert_columns_match_reference(one, points, 0.3)
+
+
+def test_classify_lattice_checks():
+    p = two_rows_one_generator()
+    for points in (lattice(3, 2), lattice(4, 2)[::-1], lattice(5, 2)[:1]):
+        with pytest.raises(BasePoint):
+            classify(p, points)
+    with pytest.raises(InvalidInput, match="point arity 3 != presentation arity 2"):
+        classify(p, lattice(3, 3)[1:])
+    empty = classify(p, lattice(3, 2)[1:1])
+    assert len(empty.index) == 0 and stratum_indices(p, lattice(3, 2)[1:1]) == []
+    assert classify(p, lattice(3, 2)[1:]).ones.tolist() == [1, 1, 1, 0, 0, 1, 0, 0]

@@ -13,7 +13,16 @@ from hypothesis import strategies as st
 from linksig.clink import ColoredLinkData, sign_vectors
 from linksig.errors import InvalidInput
 from linksig.sampler import grid, records_to_csv, records_to_json, sample_map, tbang_points
-from linksig.torus import Lattice, TorusPoint, denominator_groups, lattice, turn_formatter
+from linksig.torus import (
+    Lattice,
+    TorusPoint,
+    denominator_groups,
+    lattice,
+    map_keys,
+    turn_formatter,
+    unit_root,
+    unit_roots,
+)
 
 
 def _validated(ks, n):
@@ -118,6 +127,23 @@ def test_turn_formatter_formats_each_shared_turn_once(monkeypatch):
         calls.clear()
         to_text(records, 3)
         assert len(calls) == 6
+
+
+def test_unit_roots_match_unit_root_on_both_branches():
+    rng = np.random.default_rng(3)
+    cases = [(rng.integers(0, 12, size=(40, 3)), 12),  # int64, den <= size: a den-long table
+             (rng.integers(0, 97, size=(5, 3)), 97),  # int64, den > size: np.unique
+             (np.array([[5, 2**62 - 1]], dtype=np.int64), 2**62),  # no den-long table of 4 EiB
+             (np.array([[2**62 + 5, 0], [7, 2**62 + 5]], dtype=object), 2**63 + 1),  # Python ints
+             (np.zeros((0, 2), dtype=np.int64), 5)]
+    for ks, den in cases:
+        roots = unit_roots(ks, den)
+        assert roots.shape == ks.shape and roots.dtype == np.complex128
+        assert roots.tolist() == [[unit_root(int(k), den) for k in row] for row in ks.tolist()]
+        calls = []
+        texts = map_keys(ks, den, lambda k: calls.append(k) or f"{k}/{den}", object)
+        assert texts.tolist() == [[f"{k}/{den}" for k in row] for row in ks.tolist()]
+        assert sorted(calls) == sorted(set(ks.ravel().tolist()))
 
 
 def test_turns_with_huge_exponents_are_refused_at_once():
