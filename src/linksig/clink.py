@@ -5,6 +5,9 @@ numbers, and the family of generalized Seifert matrices A^eps indexed by sign
 vectors eps in {+1,-1}^mu, subject to the completion rule A^{-eps} =
 (A^eps)^T.  From these the package assembles the Hermitian form at a torus
 point and, for a link with a distinguished component, the slope system.
+Both are assembled by one arithmetic, over a stack of points
+(hermitian_forms, slope_matrices); the one-point forms hermitian_with_scale
+and slope_matrix_at are those kernels on a stack of one.
 
 Records without Seifert data (polynomial-only inputs) are legal; they feed
 the Hosokawa computations but cannot be sampled.
@@ -13,7 +16,6 @@ the Hosokawa computations but cannot be sampled.
 from __future__ import annotations
 
 import json
-import math
 import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import CoordinateOne, InvalidInput, MissingSeifertData, Mu1NotApplicable, Mu1Only
 from .laurent import LaurentPoly, format_poly, parse_poly
-from .torus import TorusPoint, denominator_groups, unit_root, unit_roots
+from .torus import TorusPoint, denominator_groups, unit_roots
 
 SignVector = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -201,21 +203,6 @@ class ColoredLinkData:
         return _transpose(self.seifert[tuple(-e for e in eps)])
 
 
-def _coefficient_products(point: TorusPoint) -> list[complex]:
-    """prod_i (1 - conj(omega_i)^{eps_i}) for every eps in sign_vectors order.
-
-    Built from one factor pair per variable, so conjugate pairs are exact
-    float conjugates.  Reversed, the list holds prod_i (1 - omega_i^{eps_i}):
-    the entry at -eps is the unconjugated product at eps.
-    """
-    pairs = []
-    for q in point.turns:
-        t = (-q) % 1
-        pairs.append((1.0 - unit_root(t.numerator, t.denominator),   # eps_i = +1
-                      1.0 - unit_root(q.numerator, q.denominator)))  # eps_i = -1
-    return [math.prod(factors, start=complex(1.0, 0.0)) for factors in product(*pairs)]
-
-
 def _seifert_arrays(link: ColoredLinkData) -> tuple[np.ndarray, np.ndarray]:
     """The completed matrices stacked as (2^mu, g, g) floats in sign_vectors
     order, with their max-abs entries; cached per link."""
@@ -286,20 +273,13 @@ def hermitian_with_scale(link: ColoredLinkData, point: TorusPoint) -> tuple[np.n
     The scale sum_eps |coeff(eps)| * max|A^eps| bounds every entry; inertia
     thresholds relative to it keep exact cancellations classified as zeros.
     Entries that overflow come back non-finite, and inertia rejects them.
-    hermitian_forms is the batched counterpart.
+    This is hermitian_forms on a stack of one (seifert_coefficients of the
+    point), so a point has the same form and scale in any batch.
     """
     if point.mu != link.mu:
         raise InvalidInput(f"point arity {point.mu} != link mu {link.mu}")
-    if link.seifert is None:
-        raise MissingSeifertData(f"link {link.name!r} has no Seifert data")
-    stack, amaxes = _seifert_arrays(link)
-    h = np.zeros(stack.shape[1:], dtype=np.complex128)
-    scale = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for c, a, amax in zip(_coefficient_products(point), stack, amaxes.tolist()):
-            h += c * a
-            scale += abs(c) * amax
-    return h, scale
+    h, scale = hermitian_forms(link, seifert_coefficients(link.mu, [point]))
+    return h[0], float(scale[0])
 
 
 @dataclass(frozen=True)
@@ -326,9 +306,10 @@ class SlopeData:
 def slope_matrix_at(slope_data: SlopeData, point: TorusPoint) -> np.ndarray:
     """E(omega) = sum_eps prod_i (1 - omega_i^{eps_i})^{-1} A^eps over the base.
 
-    Entries that overflow come back non-finite, and solve rejects them.  A
-    product that underflows to 0 has the inverse numpy gives for 1 / 0j
-    (inf + nan j), as in slope_matrices.
+    This is slope_matrices on a stack of one, so a point has the same matrix
+    in any batch.  Entries that overflow come back non-finite, and solve
+    rejects them; a product that underflows to 0 has the inverse numpy gives
+    for 1 / 0j.
     """
     base = slope_data.base
     if point.mu != base.mu:
@@ -336,12 +317,7 @@ def slope_matrix_at(slope_data: SlopeData, point: TorusPoint) -> np.ndarray:
     ones = point.unit_coordinates()
     if ones:
         raise CoordinateOne(f"slope matrix undefined: coordinate(s) {ones} equal 1")
-    stack, _ = _seifert_arrays(base)
-    e_mat = np.zeros(stack.shape[1:], dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for c, a in zip(reversed(_coefficient_products(point)), stack):
-            e_mat += (1.0 / c if c else complex(math.inf, math.nan)) * a
-    return e_mat
+    return slope_matrices(slope_data, seifert_coefficients(base.mu, [point]))[0]
 
 
 def slope_matrices(slope_data: SlopeData, coef: np.ndarray) -> np.ndarray:

@@ -29,7 +29,9 @@ checked once per sweep.  Faces are computable in two cases: one color
 coordinate equal to 1 with matching slope data.  Other faces are Skipped.
 Any point a batch cannot classify (a non-finite or non-Hermitian form, an
 ambiguous or non-real slope, a failed solver) is evaluated on its own, so
-its record carries the exact error.
+its record carries the exact error; its floats are the batch's, since the
+one-point forms are the batch kernels on a stack of one.  A point whose
+arity is not the link's is an InvalidInput error, whatever its coordinates.
 """
 
 from __future__ import annotations
@@ -233,6 +235,8 @@ def _evaluate_point(link: ColoredLinkData, slope_data: SlopeData | None,
                     point: TorusPoint, tau: float) -> SampleRecord:
     ones = point.unit_coordinates()
     try:
+        if point.mu != link.mu:
+            raise InvalidInput(f"point arity {point.mu} != link mu {link.mu}")
         if not ones:
             h, scale = hermitian_with_scale(link, point)
             res = inertia(h, tau, scale=scale)

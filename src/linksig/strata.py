@@ -233,11 +233,14 @@ def classify(p: PresentationMatrix, points: Sequence[TorusPoint],
             gens = [g for g in p.elementary_ideal(r) if not g.is_zero()]
             near = np.zeros(len(live), dtype=bool)
             vanish = np.ones(len(live), dtype=bool)
-            for g, z in zip(gens, eval_family(gens, d, nums)):
-                v = np.hypot(z.real, z.imag)  # abs(complex) bit for bit; np.abs may differ
-                cut = _vanishing_cut(g, tau_poly)
-                near |= in_uncertain_band(v, cut)
-                vanish &= ~(v > cut)
+            # a value can overflow only if its generator's coefficient mass
+            # does, and _vanishing_cut refuses that generator
+            with np.errstate(over="ignore", invalid="ignore"):
+                for g, z in zip(gens, eval_family(gens, d, nums)):
+                    v = np.hypot(z.real, z.imag)  # abs(complex) bit for bit; np.abs may differ
+                    cut = _vanishing_cut(g, tau_poly)
+                    near |= in_uncertain_band(v, cut)
+                    vanish &= ~(v > cut)
             uncertain[live] |= near
             live, nums = live[vanish], nums[vanish]
             index[live] = r

@@ -5,9 +5,21 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from linksig.catalog import get
-from linksig.clink import ColoredLinkData, sign_vectors
-from linksig.hermitian import DEFAULT_TAU, exact_symmetric_inertia
+from linksig.clink import (
+    ColoredLinkData,
+    SlopeData,
+    hermitian_forms,
+    hermitian_with_scale,
+    numerator_coefficients,
+    seifert_coefficients,
+    sign_vectors,
+    slope_matrices,
+    slope_matrix_at,
+)
+from linksig.hermitian import DEFAULT_TAU, exact_symmetric_inertia, inertia_many
 from linksig.sampler import (
     FLAG_ERROR,
     SOURCE_INTERIOR,
@@ -17,9 +29,10 @@ from linksig.sampler import (
     grid,
     records_to_csv,
     sample_map,
+    sweep,
     tbang_points,
 )
-from linksig.torus import TorusPoint
+from linksig.torus import TorusPoint, denominator_groups, lattice
 
 # omega = e^(2 pi i q) as a Gaussian integer (re, im) for the quarter turns
 _QUARTER = {Fraction(1, 4): (0, 1), Fraction(1, 2): (-1, 0), Fraction(3, 4): (0, -1)}
@@ -119,3 +132,69 @@ def test_nonfinite_forms_stay_errors():
                                  for eps, m in link.seifert.items()})
     for rec in sample_map(big, grid(12, 3)):
         assert rec.source == SOURCE_SKIPPED or (rec.sigma, rec.eta, rec.certified) == (0, 0, True)
+
+
+def _same(a, b) -> bool:
+    """Equal entry for entry, where a NaN part matches only a NaN part."""
+    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    return np.array_equal(a.real, b.real, equal_nan=True) and np.array_equal(a.imag, b.imag, equal_nan=True)
+
+
+def _check_chunks(link: ColoredLinkData, slope_data: SlopeData | None, points) -> int:
+    """Check that every point's one-point form, scale and (off the faces)
+    slope matrix are the rows of the batch kernels, for chunks of several
+    sizes and offsets of every denominator group; returns the rows checked."""
+    checked = set()
+    for d, rows, nums in denominator_groups(points):
+        rows = np.asarray(rows)
+        for size in (1, 3, len(rows)):
+            for b in range(0, len(rows), size):
+                coef = numerator_coefficients(d, nums[b:b + size])
+                h, scale = hermitian_forms(link, coef)
+                inner = (nums[b:b + size] != 0).all(axis=1)
+                e = slope_matrices(slope_data, coef) if slope_data is not None and inner.any() else None
+                for r, i in enumerate(rows[b:b + size].tolist()):
+                    form, form_scale = hermitian_with_scale(link, points[i])
+                    assert _same(form, h[r]) and form_scale == scale[r], points[i]
+                    if e is not None and inner[r]:
+                        assert _same(slope_matrix_at(slope_data, points[i]), e[r]), points[i]
+                    checked.add(i)
+    return len(checked)
+
+
+def _huge_denominator_points(mu: int) -> list[TorusPoint]:
+    # common denominators on both sides of 2^63 and 2^64, as in test_laurent
+    rest = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 7)]
+    return [TorusPoint((Fraction(k, den), *rest[:mu - 1]))
+            for k, den in ((1, 2**61 + 1), (1, 2**62 + 1), (5, 2**62 + 1), (1, 2**70 + 1))]
+
+
+def test_one_point_forms_are_rows_of_every_batch():
+    # a point's form, scale and slope matrix are one arithmetic: the same
+    # floats alone, in a lattice, in a mixed list or in a rejected batch, and
+    # a sweep's record of it is _evaluate_point's
+    rng = random.Random(1414)
+    for mu, g, zero, n in ((1, 6, 0, 12), (2, 4, 0, 7), (2, 5, 2, 6), (3, 3, 0, 5), (3, 6, 0, 4)):
+        link = _random_link(rng, mu, g, zero)
+        base = _random_link(rng, mu - 1, rng.randint(2, 4), 0) if mu > 1 else link
+        k_class = tuple(rng.randint(-2, 2) for _ in range(base.g))
+        slope_data = SlopeData(base, k_class, 1)
+        # entry (0, 0) at 10^308: the batch rejects the rows whose form or scale overflows
+        rejected = {eps: ((10**308, *m[0][1:]), *m[1:]) for eps, m in link.seifert.items()}
+        scaled = ColoredLinkData(link.name + "-scaled", mu, link.components, {}, g=g, seifert=rejected)
+        grid_points = lattice(n, mu)
+        ok = inertia_many(*hermitian_forms(scaled, seifert_coefficients(mu, list(grid_points))), DEFAULT_TAU)[3]
+        assert ok.any() and not ok.all()
+        mixed = list(lattice(n + 1, mu)[::3]) + list(tbang_points(2, 2, mu))
+        mixed += [TorusPoint(tuple(Fraction(rng.randint(0, den - 1), den) for den in
+                                   (rng.randint(2, 60) for _ in range(mu)))) for _ in range(40)]
+        mixed += _huge_denominator_points(mu)
+        rng.shuffle(mixed)
+        for target in (link, scaled):
+            for points in (grid_points, mixed, mixed[:1], _huge_denominator_points(mu)[-1:]):
+                assert _check_chunks(target, None, points) == len(points)
+                face_data = slope_data if mu > 1 else None
+                assert sweep(target, points, face_data).records() == [
+                    _evaluate_point(target, face_data, pt, DEFAULT_TAU) for pt in points]
+        base_points = list(lattice(n, base.mu)) + _huge_denominator_points(base.mu)
+        assert _check_chunks(base, slope_data, base_points) == len(base_points)

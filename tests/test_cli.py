@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -282,6 +283,20 @@ def test_ideals_huge_coefficient_exits_2(tmp_path, capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_ideals_overflowing_coefficient_mass_prints_one_line(tmp_path, capsys):
+    # each coefficient fits a float, their mass does not: a value overflows
+    # in its sum (at 1/5) or in its modulus (at 1/7) before the cut refuses
+    # the generator
+    path = tmp_path / "mass.presentation.json"
+    for c, n in ((17 * 10**307, 5), (10**308, 7)):
+        path.write_text(json.dumps({"mu": 1, "entries": [[f"{c}*t1 + {c}"]]}))
+        for mode in (["--omega", f"1/{n}"], ["--classify", "--grid", str(n)]):
+            assert main(["ideals", str(path)] + mode) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: a generator's coefficient mass does not fit a float\n"
+
+
 def test_polynomial_only_link_cannot_be_sampled(tmp_path, capsys):
     from linksig.clink import link_to_dict
 
@@ -440,3 +455,23 @@ def test_link_is_validated_before_its_polynomials_are_parsed(tmp_path, capsys, m
     path.write_text(json.dumps(doc))
     assert main(["hosokawa", str(path)]) == 0
     assert capsys.readouterr().out == "1\n"
+
+
+def _readme_cli_lines() -> list[str]:
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = text[text.index("```sh", text.index("\n## CLI\n")):]
+    block = block[:block.index("```", 5)]
+    return [line for line in block.splitlines() if line.startswith("linksig ")]
+
+
+def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    assert len(lines) >= 10
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        assert main(argv) == 0, (line, capsys.readouterr().err)
+        out = capsys.readouterr().out
+        if argv[0] == "slope":
+            assert out == "4\n"

@@ -21,6 +21,7 @@ from linksig.clink import (
     seifert_framed_linking_matrix,
     sign_vectors,
     slope_from_dict,
+    slope_matrices,
     slope_matrix_at,
     slope_to_dict,
 )
@@ -236,21 +237,28 @@ def test_slope_matrix_reads_cached_arrays_bit_identically(rng):
             c *= 1.0 - unit_root(turn.numerator, turn.denominator)
         return c
 
-    # the former formula, which rebuilt each A^eps from the integer matrix
+    # a reference formula, which rebuilds each A^eps from the integer matrix,
+    # with the structural scale sum_eps |1 / coefficient| * max|A^eps|
     def rebuilt(sd, pt):
         g = sd.base.g
         e_mat = np.zeros((g, g), dtype=np.complex128)
+        scale = 0.0
         for eps in sign_vectors(sd.base.mu):
             inv = 1.0 / _coefficient(pt, eps, conjugated=False)
-            e_mat += inv * np.array(sd.base.seifert_matrix(eps), dtype=np.float64).reshape(g, g)
-        return e_mat
+            a = np.array(sd.base.seifert_matrix(eps), dtype=np.float64).reshape(g, g)
+            e_mat += inv * a
+            scale += abs(inv) * np.abs(a).max(initial=0.0)
+        return e_mat, scale
 
     slopes = [e.slope for e in full_entries() if e.slope is not None]
     assert slopes
     for sd in slopes:
         for _ in range(30):
             pt = random_point(rng, sd.base.mu)
-            assert (slope_matrix_at(sd, pt) == rebuilt(sd, pt)).all()
+            e_mat = slope_matrix_at(sd, pt)
+            assert (e_mat == slope_matrices(sd, seifert_coefficients(sd.base.mu, [pt]))[0]).all()
+            reference, scale = rebuilt(sd, pt)
+            assert np.allclose(e_mat, reference, rtol=0, atol=1e-12 * scale)
 
 
 def test_slope_matrix_corner_cases():

@@ -114,6 +114,19 @@ def test_face_with_underflowing_slope_coefficient_is_skipped():
     assert (face.sigma, face.source) == (1, SOURCE_FACE)
 
 
+@pytest.mark.parametrize("key, points", [
+    ("hopf1", [TorusPoint.of(0, Fraction(1, 2)), TorusPoint.of(Fraction(1, 3), Fraction(1, 2))]),
+    ("hopf1", grid(3, 2, include_faces=True)),
+    ("l(1)", [TorusPoint.of(0, 0, 0, Fraction(1, 2)), TorusPoint.of(0, Fraction(1, 2))]),
+    ("t24", [TorusPoint.of(0), TorusPoint.of(Fraction(1, 2))]),
+])
+def test_wrong_arity_points_are_errors_whatever_their_coordinates(key, points):
+    entry = get(key)
+    for rec in sample_map(entry.link, points, entry.slope):
+        assert (rec.sigma, rec.eta, rec.source, rec.certified) == (None, None, SOURCE_SKIPPED, False), rec
+        assert rec.flags == (FLAG_ERROR, "InvalidInput"), rec
+
+
 def test_mu1_circle_including_one():
     hopf = get("hopf1").link
     recs = sample_map(hopf, grid(24, 1, include_faces=True))
