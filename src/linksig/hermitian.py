@@ -130,8 +130,9 @@ def inertia_many(h: np.ndarray, scale: np.ndarray, tau: float = DEFAULT_TAU
     except np.linalg.LinAlgError:
         ok[:] = False
     absed = np.abs(eig)
-    cut = tau * scale[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows with ok False or scale 0
+    # rows with ok False or scale 0; a cut or band that overflows is inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        cut = tau * scale[:, None]
         n_pos = np.sum(eig > cut, axis=-1)
         n_neg = np.sum(eig < -cut, axis=-1)
         certified = ~np.any(in_uncertain_band(absed, cut), axis=-1)

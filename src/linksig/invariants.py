@@ -187,9 +187,10 @@ def slope_signs(slope_data: SlopeData, coef: np.ndarray,
     (numerator_coefficients or seifert_coefficients).
 
     Builds every E(omega) from the same array and solves them with one
-    solve_many.  Returns (sign, infinite, ok); an infinite slope has sign 0.
-    Rows with ok False are those on which slope raises or the SVD failed;
-    their other entries are meaningless.
+    solve_many.  Returns (sign, infinite, error); an infinite slope has sign
+    0.  error names the exception slope raises on the row ("" where it
+    returns; EigensolverFailure on every row if the SVD failed), and the
+    other entries of a row with an error are meaningless.
     """
     k = np.array(slope_data.k_class, dtype=np.complex128)
     e = slope_matrices(slope_data, coef)
@@ -200,8 +201,9 @@ def slope_signs(slope_data: SlopeData, coef: np.ndarray,
         sign = np.where(np.abs(value.real) <= _slope_zero_tol(slope_data, value.real), 0,
                         np.where(value.real > 0, 1, -1))
     infinite = ~sols.solvable
-    ok = sols.ok & (infinite | (~ambiguous & real))
-    return np.where(infinite, 0, sign), infinite, ok
+    error = np.select([~sols.ok, infinite, ambiguous, ~np.isfinite(value), ~real],
+                      ["EigensolverFailure", "", "AmbiguousSlope", "EigensolverFailure", "NotReal"], "")
+    return np.where(infinite, 0, sign), infinite, error
 
 
 @dataclass(frozen=True)

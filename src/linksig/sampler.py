@@ -27,27 +27,27 @@ both the sublink forms (one batched eigvalsh) and the slope matrices E(omega)
 checked once per sweep.  Faces are computable in two cases: one color
 (omega = 1 via the framed linking matrix) and, for more colors, exactly one
 coordinate equal to 1 with matching slope data.  Other faces are Skipped.
-Any point a batch cannot classify (a non-finite or non-Hermitian form, an
-ambiguous or non-real slope, a failed solver) is evaluated on its own, so
-its record carries the exact error; its floats are the batch's, since the
-one-point forms are the batch kernels on a stack of one.  A point whose
-arity is not the link's is an InvalidInput error, whatever its coordinates.
+Every row is written by its batch: a row the batch rejects (a non-finite
+form, an ambiguous or non-real slope, a failed solver) is Skipped and flagged
+EvaluationError with the exception the one-point functions raise on it,
+named from the batch's own arrays.  The distinguished-coordinate faces when
+the link-level face hypotheses fail, and points of another arity than the
+link's, are InvalidInput errors.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .clink import ColoredLinkData, SlopeData, hermitian_forms, hermitian_with_scale, numerator_coefficients
-from .errors import InvalidInput, LinksigError, MissingSeifertData
-from .hermitian import DEFAULT_TAU, inertia, inertia_many
-from .invariants import check_face_hypotheses, face_parts, signature_at_full_one, slope_signs
+from .clink import ColoredLinkData, SlopeData, hermitian_forms, numerator_coefficients
+from .errors import InvalidInput, MissingSeifertData
+from .hermitian import DEFAULT_TAU, inertia_many
+from .invariants import check_face_hypotheses, signature_at_full_one, slope_signs
 from .laurent import LaurentPoly, eval_numerators
 from .strata import DEFAULT_TAU_POLY
 from .torus import Lattice, TorusPoint, denominator_groups, lattice, turn_texts
@@ -138,10 +138,11 @@ class Sweep:
     def _flag(self, rows: np.ndarray, flags: tuple[str, ...]) -> None:
         self.flags.update(dict.fromkeys(rows.tolist(), flags))
 
-    def _put_record(self, i: int, rec: SampleRecord) -> None:
-        self._put(i, rec.source, rec.sigma, rec.eta, rec.certified)
-        if rec.flags:
-            self.flags[i] = rec.flags
+    def _fail(self, rows: np.ndarray, name: str) -> None:
+        # rows that failed to evaluate, with the name of the exception
+        if len(rows):
+            self._put(rows, SOURCE_SKIPPED, certified=False)
+            self._flag(rows, (FLAG_ERROR, name))
 
     def outcomes(self) -> tuple[list[Outcome], np.ndarray]:
         """The distinct (sigma, eta, source, certified) of the rows, None for
@@ -225,87 +226,85 @@ def tbang_points(p: int, d: int, mu: int) -> Lattice:
         raise InvalidInput("need a prime p and depth d >= 1")
     if d * mu >= 64:  # at least 2^64 points; p^d is not built
         raise InvalidInput(f"lattice too large: more than {sys.maxsize} points")
-    points = lattice(p**d, mu)  # refuses more than sys.maxsize points, before the trial division
-    if any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
+    points = lattice(p**d, mu)  # refuses more than sys.maxsize points, so p < 2^63
+    if not _is_prime(p):
         raise InvalidInput("need a prime p and depth d >= 1")
     return points
 
 
-def _evaluate_point(link: ColoredLinkData, slope_data: SlopeData | None,
-                    point: TorusPoint, tau: float) -> SampleRecord:
-    ones = point.unit_coordinates()
-    try:
-        if point.mu != link.mu:
-            raise InvalidInput(f"point arity {point.mu} != link mu {link.mu}")
-        if not ones:
-            h, scale = hermitian_with_scale(link, point)
-            res = inertia(h, tau, scale=scale)
-            return SampleRecord(point, res.signature, res.nullity, SOURCE_INTERIOR, res.certified)
-        if len(ones) == 1:
-            if link.mu == 1:
-                return SampleRecord(point, signature_at_full_one(link), None, SOURCE_FACE, True)
-            if slope_data is not None and ones[0] == slope_data.distinguished_color:
-                parts = face_parts(link, slope_data, point, tau)
-                flags = () if parts.slope_value.is_finite else (FLAG_INFINITE_SLOPE,)
-                return SampleRecord(point, parts.signature, None, SOURCE_FACE,
-                                    parts.sublink_inertia.certified, flags)
-            return SampleRecord(point, None, None, SOURCE_SKIPPED, True, (FLAG_FACE_UNAVAILABLE,))
-        return SampleRecord(point, None, None, SOURCE_SKIPPED, True)
-    except LinksigError as exc:
-        return SampleRecord(point, None, None, SOURCE_SKIPPED, False,
-                            (FLAG_ERROR, type(exc).__name__))
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _evaluate_rows(link: ColoredLinkData, slope_data: SlopeData | None, batch_faces: bool,
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin on the prime bases up to 37, which no
+    composite below 3.3e24 passes."""
+    if n < 2 or any(n % b == 0 for b in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for b in _PRIME_BASES:
+        x = pow(b, (n - 1) >> s, n)
+        if x != 1 and n - 1 not in (pow(x, 2**r, n) for r in range(s)):
+            return False  # b witnesses that n is composite
+    return True
+
+
+def _evaluate_rows(link: ColoredLinkData, slope_data: SlopeData | None, faces_hold: bool,
                    d: int, rows: np.ndarray, nums: np.ndarray, tau: float, out: Sweep) -> None:
-    # Fills the rows of out it classifies, row rows[r] having the turns
-    # nums[r] / d.  Interior rows are one batch of forms; face rows with
-    # exactly the distinguished coordinate 1 are one batch when batch_faces
-    # (the link-level face hypotheses hold); other face and multi-one rows are
-    # skipped here.  The rest, and any row a batch cannot classify, are left
-    # pending for _evaluate_point.
+    # Fills the rows of out, row rows[r] having the turns nums[r] / d.
+    # Interior rows are one batch of forms; face rows with exactly the
+    # distinguished coordinate 1 are one batch when faces_hold (the link-level
+    # face hypotheses hold) and InvalidInput errors otherwise; other face and
+    # multi-one rows are skipped.
     zero = nums == 0
     count = zero.sum(axis=1)
     inner = count == 0
     if inner.any():
         h, scale = hermitian_forms(link, numerator_coefficients(d, nums[inner]))
         sigma, eta, certified, ok, min_gap = inertia_many(h, scale, tau)
-        out._put(rows[inner][ok], SOURCE_INTERIOR, sigma[ok], eta[ok], certified[ok], min_gap[ok])
+        interior = rows[inner]
+        out._put(interior[ok], SOURCE_INTERIOR, sigma[ok], eta[ok], certified[ok], min_gap[ok])
+        # inertia raises EigensolverFailure on these rows, not NotHermitian:
+        # the coefficients of eps and -eps are exact floating conjugates and
+        # A^-eps is the transpose of A^eps, so h[j, k] and conj(h[k, j]) add
+        # the same products in another order and differ by about 2^mu *
+        # machine epsilon * scale at most (sums of subnormals are exact), far
+        # below the 1e-9 * scale tolerance; inertia_many rejects a form only
+        # if it is not finite or LAPACK fails.
+        out._fail(interior[~ok], "EigensolverFailure")
     if link.mu == 1:
-        return  # omega = 1 through the linking matrix, per point
+        if not inner.all():  # omega = 1, exactly through the framed linking matrix
+            out._put(rows[~inner], SOURCE_FACE, signature_at_full_one(link))
+        return
     dist = slope_data.distinguished_color if slope_data is not None else 0
     at_dist = (count == 1) & zero[:, dist - 1] if 1 <= dist <= link.mu else np.zeros_like(inner)
-    if batch_faces and at_dist.any():
+    if at_dist.any() and faces_hold:
         coef = numerator_coefficients(d, np.delete(nums[at_dist], dist - 1, axis=1))
         h, scale = hermitian_forms(slope_data.base, coef)
         sigma, _, certified, ok, min_gap = inertia_many(h, scale, tau)
-        sign, infinite, slope_ok = slope_signs(slope_data, coef, tau)
-        ok = ok & slope_ok
+        sign, infinite, error = slope_signs(slope_data, coef, tau)
+        error[~ok] = "EigensolverFailure"  # face_parts evaluates the sublink form first, as above
+        ok = error == ""
         face = rows[at_dist]
         out._put(face[ok], SOURCE_FACE, (sigma + sign)[ok], None, certified[ok], min_gap[ok])
         out._flag(face[ok & infinite], (FLAG_INFINITE_SLOPE,))
+        for name in set(error[~ok].tolist()):
+            out._fail(face[error == name], name)
+    elif at_dist.any():  # face_parts checks the face hypotheses first
+        out._fail(rows[at_dist], "InvalidInput")
     unavailable = rows[(count == 1) & ~at_dist]
     out._put(unavailable, SOURCE_SKIPPED)
     out._flag(unavailable, (FLAG_FACE_UNAVAILABLE,))
     out._put(rows[count > 1], SOURCE_SKIPPED)
 
 
-def _faces_hold(link: ColoredLinkData, slope_data: SlopeData | None) -> bool:
-    # whether there is slope data whose link-level face hypotheses hold
-    if slope_data is None or link.mu == 1:
-        return False
-    try:
-        check_face_hypotheses(link, slope_data)
-    except InvalidInput:
-        return False
-    return True
-
-
 def sweep(link: ColoredLinkData, points: Iterable[TorusPoint],
           slope_data: SlopeData | None = None, tau: float = DEFAULT_TAU) -> Sweep:
     """Evaluate signature/nullity over the given points, in their order, as columns.
 
-    A Lattice is kept as it is; any other iterable is read into a list.
+    A Lattice is kept as it is; any other iterable is read into a list.  A
+    point whose arity is not the link's is an InvalidInput error.  A LAPACK
+    failure (no finite stack is known to cause one) makes every row of its
+    chunk that needed the call an EigensolverFailure, with no retry per row.
     """
     if not link.has_seifert():
         raise MissingSeifertData(f"link {link.name!r} has no Seifert data; nothing to sample")
@@ -316,13 +315,17 @@ def sweep(link: ColoredLinkData, points: Iterable[TorusPoint],
         points = list(points)
         same = np.array([i for i, pt in enumerate(points) if pt.mu == link.mu])
         groups = [(d, same[rows], nums) for d, rows, nums in denominator_groups([points[i] for i in same])]
-    batch_faces = _faces_hold(link, slope_data)
+    faces_hold = slope_data is not None
+    if faces_hold:
+        try:
+            check_face_hypotheses(link, slope_data)
+        except InvalidInput:
+            faces_hold = False
     out = Sweep.empty(points)
     for d, rows, nums in groups:
         for b in range(0, len(rows), size):
-            _evaluate_rows(link, slope_data, batch_faces, d, rows[b:b + size], nums[b:b + size], tau, out)
-    for i in np.flatnonzero(out.source < 0).tolist():
-        out._put_record(i, _evaluate_point(link, slope_data, points[i], tau))
+            _evaluate_rows(link, slope_data, faces_hold, d, rows[b:b + size], nums[b:b + size], tau, out)
+    out._fail(np.flatnonzero(out.source < 0), "InvalidInput")  # the points of another arity
     return out
 
 

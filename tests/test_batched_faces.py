@@ -13,13 +13,13 @@ from linksig.sampler import (
     FLAG_INFINITE_SLOPE,
     SOURCE_FACE,
     _CHUNK_POINTS,
-    _evaluate_point,
     grid,
     sample_map,
     tbang_points,
 )
 from linksig.torus import TorusPoint
 
+from per_point import _evaluate_point
 from test_batched_sweep import _random_link
 
 

@@ -25,7 +25,6 @@ from linksig.sampler import (
     SOURCE_INTERIOR,
     SOURCE_SKIPPED,
     _CHUNK_POINTS,
-    _evaluate_point,
     grid,
     records_to_csv,
     sample_map,
@@ -33,6 +32,8 @@ from linksig.sampler import (
     tbang_points,
 )
 from linksig.torus import TorusPoint, denominator_groups, lattice
+
+from per_point import _evaluate_point
 
 # omega = e^(2 pi i q) as a Gaussian integer (re, im) for the quarter turns
 _QUARTER = {Fraction(1, 4): (0, 1), Fraction(1, 2): (-1, 0), Fraction(3, 4): (0, -1)}

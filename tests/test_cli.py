@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, round trips."""
 
+import itertools
 import json
 import os
 import shlex
@@ -475,3 +476,37 @@ def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
         out = capsys.readouterr().out
         if argv[0] == "slope":
             assert out == "4\n"
+
+
+def _l1_at_huge_tau() -> str:
+    # a cut of tau * scale = inf calls every eigenvalue zero
+    rows = ["q1,q2,q3,sigma,eta,source,certified\n"]
+    for turns in itertools.product(("0", "1/3", "2/3"), repeat=3):
+        zeros = turns.count("0")
+        tail = "0,2,Interior" if not zeros else "0,NA,Face" if zeros == 1 and turns[0] == "0" else "NA,NA,Skipped"
+        rows.append(",".join(turns) + f",{tail},true\n")
+    return "".join(rows)
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    (["--tau", "1e308", "sigmap", "T24", "--grid", "3"], 0,
+     "q1,q2,sigma,eta,source,certified\n1/3,1/3,0,1,Interior,true\n1/3,2/3,0,1,Interior,true\n"
+     "2/3,1/3,0,1,Interior,true\n2/3,2/3,0,1,Interior,true\n"),
+    (["--tau", "1e308", "sigmap", "LINK", "--grid", "3", "--faces", "--slope", "SLOPE"], 0, _l1_at_huge_tau()),
+    (["--tau", "1e308", "report", "LINK", "--slope", "SLOPE", "--prime", "3", "--depth", "1"], 0,
+     "INCONCLUSIVE\nsamples=27 uncertain=0\n"),
+    (["--tau", "0.5", "sigmap", "T24BIG", "--grid", "3"], 3,
+     "q1,q2,sigma,eta,source,certified\n1/3,1/3,0,1,Interior,false\n1/3,2/3,-1,0,Interior,false\n"
+     "2/3,1/3,-1,0,Interior,false\n2/3,2/3,0,1,Interior,false\n"),
+], ids=["sigmap", "sigmap-faces", "report", "sigmap-huge-entries"])
+def test_overflowing_cut_prints_no_warning(exported, capsys, argv, code, expected):
+    # tau * scale, and the uncertain band around it, overflow to inf
+    assert main(["catalog", "show", "t24", "--export", str(exported["dir"])]) == 0
+    data = json.loads((exported["dir"] / "t24.link.json").read_text())
+    data["seifert"] = {key: [[10**307 * x for x in row] for row in m] for key, m in data["seifert"].items()}
+    (exported["dir"] / "t24big.link.json").write_text(json.dumps(data))
+    paths = {"LINK": exported["link"], "SLOPE": exported["slope"], "T24": str(exported["dir"] / "t24.link.json"),
+             "T24BIG": str(exported["dir"] / "t24big.link.json")}
+    capsys.readouterr()
+    assert main([paths.get(a, a) for a in argv]) == code
+    assert capsys.readouterr() == (expected, "")

@@ -1,6 +1,8 @@
 """Grids, sweeps, constancy, concordance reports, output formats."""
 
+import math
 import os
+import time
 from fractions import Fraction
 from typing import Iterator
 
@@ -51,6 +53,26 @@ def test_tbang_examples():
     assert any(p.is_basepoint() for p in tbang_points(2, 1, 3))
     with pytest.raises(InvalidInput):
         list(tbang_points(4, 1, 1))  # not prime
+
+
+def _accepts(p: int) -> bool:
+    try:
+        tbang_points(p, 1, 1)
+    except InvalidInput:
+        return False
+    return True
+
+
+def test_tbang_primality_is_fast_and_exact():
+    for p in (9223372036854775783, 2**61 - 1):
+        start = time.perf_counter()
+        assert _accepts(p)
+        assert time.perf_counter() - start < 0.1
+    # a Carmichael number, a strong pseudoprime to bases 2, 3, 5 and 7, a prime square, 1 and 4
+    for n in (561, 3215031751, (2**31 - 1) ** 2, 1, 4):
+        assert not _accepts(n), n
+    assert [n for n in range(20000) if _accepts(n)] == [
+        n for n in range(20000) if n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))]
 
 
 def test_sample_map_ln_interior():

@@ -23,7 +23,6 @@ from linksig.sampler import (
     SOURCE_SKIPPED,
     SOURCES,
     Sweep,
-    _evaluate_point,
     grid,
     records_to_csv,
     records_to_json,
@@ -33,6 +32,8 @@ from linksig.sampler import (
     uncertain_records,
 )
 from linksig.torus import turn_formatter
+
+from per_point import _evaluate_point
 
 # -- the record writers and the uncertain-sample rule before the columns: the reference --
 
