@@ -16,6 +16,7 @@ from typing import Mapping
 
 from .clink import ColoredLinkData, SlopeData
 from .errors import BasePoint, InvalidInput, UnknownKey
+from .invariants import half_step_factor
 from .laurent import LaurentPoly, parse_poly
 from .strata import PresentationMatrix
 from .torus import TorusPoint
@@ -199,12 +200,6 @@ def _borromean() -> CatalogEntry:
     )
 
 
-def _half_factor(i: int, mu: int) -> LaurentPoly:
-    up = tuple(1 if j == i - 1 else 0 for j in range(mu))
-    down = tuple(-1 if j == i - 1 else 0 for j in range(mu))
-    return LaurentPoly(mu, {up: 1, down: -1}, half_step=True)
-
-
 def _ln(n: int) -> CatalogEntry:
     if n < 1:
         raise UnknownKey(f"l({n}) needs n >= 1")
@@ -217,9 +212,9 @@ def _ln(n: int) -> CatalogEntry:
         g=2,
         seifert={eps: a for eps in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1))},
         conway=LaurentPoly.const(-n * n, 3, half_step=True)
-        * _half_factor(1, 3) ** 3
-        * _half_factor(2, 3)
-        * _half_factor(3, 3),
+        * half_step_factor(1, 3) ** 3
+        * half_step_factor(2, 3)
+        * half_step_factor(3, 3),
     )
     base = ColoredLinkData(
         name=f"l({n})-sublink",
@@ -241,7 +236,7 @@ def _ln(n: int) -> CatalogEntry:
         expected={
             "sigma_interior": Expected(0, "tabulated", "vanishes on the open torus"),
             "hosokawa_normalized": Expected(
-                LaurentPoly.const(-n * n, 3, half_step=True) * _half_factor(1, 3) ** 2,
+                LaurentPoly.const(-n * n, 3, half_step=True) * half_step_factor(1, 3) ** 2,
                 "derived",
                 "substitute the Conway potential into the normalized formula",
             ),

@@ -69,7 +69,7 @@ def _one_minus_t(i: int, mu: int) -> LaurentPoly:
     return LaurentPoly.variable(i, mu) - LaurentPoly.const(1, mu)
 
 
-def _half_step_factor(i: int, mu: int) -> LaurentPoly:
+def half_step_factor(i: int, mu: int) -> LaurentPoly:
     """t_i^(1/2) - t_i^(-1/2) in the half-step ring."""
     up = tuple(1 if j == i - 1 else 0 for j in range(mu))
     down = tuple(-1 if j == i - 1 else 0 for j in range(mu))
@@ -128,7 +128,7 @@ def hosokawa_normalized(conway: LaurentPoly, link: ColoredLinkData) -> LaurentPo
     if conway.is_zero():
         return conway
     exponents = (2 - len(link.components),) if link.mu == 1 else nu_exponents(link)
-    factors = [_half_step_factor(i, link.mu) for i in range(1, link.mu + 1)]
+    factors = [half_step_factor(i, link.mu) for i in range(1, link.mu + 1)]
     return _rescale(conway, factors, exponents)
 
 

@@ -6,6 +6,15 @@ A polynomial may instead live in the half-integer ring Z[t_i^{+-1/2}]: the
 ``half_step`` flag means every stored exponent k stands for t_i^(k/2).
 Half-step and integer-step polynomials never mix in one operation.
 
+Terms are validated once, where they enter: the LaurentPoly constructor
+(and so the parser, the catalog and user code) refuses a monomial of the
+wrong length, a duplicate monomial and a non-integer exponent or
+coefficient.  Every result of the ring's own operations is built by one
+accumulator from terms that are already valid, without checking them
+again.  It sums the (monomial, coefficient) pairs in order and drops a
+monomial whose running sum reaches zero, so a later term re-inserts it at
+the end; the term order it leaves is the order evaluation sums in.
+
 Equality up to units (a sign and monomial factors) is decided through a
 canonical representative: shift so the minimal exponent of every variable is
 zero, then fix the sign so the lexicographically smallest monomial has a
@@ -24,7 +33,9 @@ values bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 import re
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -47,12 +58,13 @@ class LaurentPoly:
         for mono, coeff in terms.items():
             if len(mono) != mu:
                 raise InvalidInput(f"monomial {mono} has wrong length for mu={mu}")
+            coeff = _integer(coeff, "coefficient", mono)
+            key = tuple(_integer(e, "exponent", mono) for e in mono)
             if coeff == 0:
                 continue
-            key = tuple(int(e) for e in mono)
             if key in clean:
                 raise InvalidInput(f"duplicate monomial {key}")
-            clean[key] = int(coeff)
+            clean[key] = coeff
         self.mu = mu
         self.terms = clean
         self.half_step = bool(half_step)
@@ -65,13 +77,11 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c: int, mu: int, half_step: bool = False) -> "LaurentPoly":
-        if c == 0:
-            return cls.zero(mu, half_step)
-        return cls(mu, {(0,) * mu: int(c)}, half_step)
+        return cls(mu, {(0,) * mu: c}, half_step)
 
     @classmethod
     def monomial(cls, exponents: Iterable[int], coeff: int = 1, half_step: bool = False) -> "LaurentPoly":
-        exps = tuple(int(e) for e in exponents)
+        exps = tuple(exponents)
         return cls(len(exps), {exps: coeff}, half_step)
 
     @classmethod
@@ -108,14 +118,7 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._compatible(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, 0) + c
-            if s == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return LaurentPoly(self.mu, out, self.half_step)
+        return _accumulate(self.mu, chain(self.terms.items(), other.terms.items()), self.half_step)
 
     def __sub__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
@@ -125,26 +128,17 @@ class LaurentPoly:
         return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.mu, {m: -c for m, c in self.terms.items()}, self.half_step)
+        return _accumulate(self.mu, ((m, -c) for m, c in self.terms.items()), self.half_step)
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
-            if other == 0:
-                return LaurentPoly.zero(self.mu, self.half_step)
-            return LaurentPoly(self.mu, {m: c * other for m, c in self.terms.items()}, self.half_step)
+            return _accumulate(self.mu, ((m, c * other) for m, c in self.terms.items()), self.half_step)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._compatible(other)
-        out: dict[Monomial, int] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                key = tuple(a + b for a, b in zip(ma, mb))
-                s = out.get(key, 0) + ca * cb
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return LaurentPoly(self.mu, out, self.half_step)
+        pairs = ((tuple(map(operator.add, ma, mb)), ca * cb)
+                 for ma, ca in self.terms.items() for mb, cb in other.terms.items())
+        return _accumulate(self.mu, pairs, self.half_step)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -179,6 +173,29 @@ class LaurentPoly:
         return format_poly(self)
 
 
+def _integer(value, what: str, mono) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{what} {value!r} of monomial {mono} is not an integer") from None
+
+
+def _accumulate(mu: int, pairs: Iterable[tuple[Monomial, int]], half_step: bool) -> LaurentPoly:
+    """The sum of (monomial, coefficient) pairs that are already valid: int
+    tuples of length mu and ints.  A monomial whose running sum reaches zero
+    is dropped, so a later term re-inserts it at the end."""
+    out: dict[Monomial, int] = {}
+    for mono, c in pairs:
+        s = out.get(mono, 0) + c
+        if s:
+            out[mono] = s
+        else:
+            out.pop(mono, None)
+    p = object.__new__(LaurentPoly)
+    p.mu, p.terms, p.half_step = mu, out, half_step
+    return p
+
+
 # -- evaluation --------------------------------------------------------------
 
 
@@ -201,9 +218,7 @@ def eval_at(p: LaurentPoly, point: TorusPoint) -> complex:
         raise InvalidInput(f"arity mismatch: poly has mu={p.mu}, point has mu={point.mu}")
     if p.is_zero():
         return 0j
-    den = 1
-    for q in point.turns:
-        den = den * q.denominator // math.gcd(den, q.denominator)
+    den = math.lcm(*(q.denominator for q in point.turns))
     numerators = [q.numerator * (den // q.denominator) for q in point.turns]
     if p.half_step:
         den *= 2  # stored exponent k stands for t^(k/2)
@@ -296,13 +311,8 @@ def unit_normalize(p: LaurentPoly) -> LaurentPoly:
     """
     if p.is_zero():
         return p
-    monos = list(p.terms)
-    shift = tuple(min(m[i] for m in monos) for i in range(p.mu))
-    shifted = {tuple(e - s for e, s in zip(m, shift)): c for m, c in p.terms.items()}
-    sign = 1 if shifted[min(shifted)] > 0 else -1
-    if sign < 0:
-        shifted = {m: -c for m, c in shifted.items()}
-    return LaurentPoly(p.mu, shifted, p.half_step)
+    q, _ = _monomial_shift(p)
+    return q if q.terms[min(q.terms)] > 0 else -q
 
 
 def eq_up_to_units(a: LaurentPoly, b: LaurentPoly) -> bool:
@@ -315,10 +325,14 @@ def eq_up_to_units(a: LaurentPoly, b: LaurentPoly) -> bool:
 
 def _monomial_shift(p: LaurentPoly) -> tuple[LaurentPoly, Monomial]:
     """Split p = t^shift * q with q having minimal exponent 0 per variable."""
-    monos = list(p.terms)
-    shift = tuple(min(m[i] for m in monos) for i in range(p.mu))
-    q = LaurentPoly(p.mu, {tuple(e - s for e, s in zip(m, shift)): c for m, c in p.terms.items()}, p.half_step)
-    return q, shift
+    shift = tuple(min(m[i] for m in p.terms) for i in range(p.mu))
+    return _times_term(p, tuple(-s for s in shift)), shift
+
+
+def _times_term(p: LaurentPoly, mono: Monomial, coeff: int = 1) -> LaurentPoly:
+    """p * coeff * t^mono, term by term in p's order."""
+    return _accumulate(p.mu, ((tuple(map(operator.add, m, mono)), coeff * c) for m, c in p.terms.items()),
+                       p.half_step)
 
 
 def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -337,7 +351,7 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     pb, sb = _monomial_shift(b)
     lead_b = max(pb.terms)
     cb = pb.terms[lead_b]
-    quotient: dict[Monomial, int] = {}
+    quotient: list[tuple[Monomial, int]] = []
     rem = pa
     while not rem.is_zero():
         lead_r = max(rem.terms)
@@ -346,10 +360,10 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         if any(d < 0 for d in diff) or cr % cb != 0:
             raise NotDivisible(f"{format_poly(b)} does not divide {format_poly(a)}")
         qc = cr // cb
-        quotient[diff] = qc
-        rem = rem - LaurentPoly.monomial(diff, qc, a.half_step) * pb
+        quotient.append((diff, qc))
+        rem = rem - _times_term(pb, diff, qc)
     shift = tuple(x - y for x, y in zip(sa, sb))
-    return LaurentPoly.monomial(shift, 1, a.half_step) * LaurentPoly(a.mu, quotient, a.half_step)
+    return _times_term(_accumulate(a.mu, quotient, a.half_step), shift)
 
 
 def divides(b: LaurentPoly, a: LaurentPoly) -> bool:
@@ -370,25 +384,20 @@ def _deg_in(p: LaurentPoly, k: int) -> int:
 
 def _univariate_view(p: LaurentPoly, k: int) -> dict[int, LaurentPoly]:
     """Coefficients of powers of variable k, as polynomials in the others."""
-    coeffs: dict[int, dict[Monomial, int]] = {}
+    coeffs: dict[int, list[tuple[Monomial, int]]] = {}
     for mono, c in p.terms.items():
-        d = mono[k]
         rest = tuple(e if i != k else 0 for i, e in enumerate(mono))
-        coeffs.setdefault(d, {})[rest] = c
-    return {d: LaurentPoly(p.mu, t, p.half_step) for d, t in coeffs.items()}
+        coeffs.setdefault(mono[k], []).append((rest, c))
+    return {d: _accumulate(p.mu, pairs, p.half_step) for d, pairs in coeffs.items()}
 
 
 def _leading_in(p: LaurentPoly, k: int) -> tuple[int, LaurentPoly]:
     d = _deg_in(p, k)
-    lead: dict[Monomial, int] = {}
-    for mono, c in p.terms.items():
-        if mono[k] == d:
-            lead[tuple(e if i != k else 0 for i, e in enumerate(mono))] = c
-    return d, LaurentPoly(p.mu, lead, p.half_step)
+    return d, _univariate_view(p, k)[d]
 
 
 def _shift_in(p: LaurentPoly, k: int, d: int) -> LaurentPoly:
-    return LaurentPoly(p.mu, {tuple(e + d if i == k else e for i, e in enumerate(m)): c for m, c in p.terms.items()}, p.half_step)
+    return _times_term(p, tuple(d if i == k else 0 for i in range(p.mu)))
 
 
 def _pseudo_rem(a: LaurentPoly, b: LaurentPoly, k: int) -> LaurentPoly:
@@ -474,20 +483,12 @@ def gcd_many(polys: Iterable[LaurentPoly]) -> LaurentPoly:
 
 def substitute_diagonal(p: LaurentPoly) -> LaurentPoly:
     """Replace every variable by a single variable t."""
-    out: dict[Monomial, int] = {}
-    for mono, c in p.terms.items():
-        key = (sum(mono),)
-        s = out.get(key, 0) + c
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return LaurentPoly(1, out, p.half_step)
+    return _accumulate(1, (((sum(m),), c) for m, c in p.terms.items()), p.half_step)
 
 
 def conj_involution(p: LaurentPoly) -> LaurentPoly:
     """The involution t_i -> t_i^{-1}."""
-    return LaurentPoly(p.mu, {tuple(-e for e in m): c for m, c in p.terms.items()}, p.half_step)
+    return _accumulate(p.mu, ((tuple(-e for e in m), c) for m, c in p.terms.items()), p.half_step)
 
 
 def to_half_step(p: LaurentPoly) -> LaurentPoly:
@@ -497,7 +498,7 @@ def to_half_step(p: LaurentPoly) -> LaurentPoly:
     """
     if p.half_step:
         return p
-    return LaurentPoly(p.mu, {tuple(2 * e for e in m): c for m, c in p.terms.items()}, True)
+    return _accumulate(p.mu, ((tuple(2 * e for e in m), c) for m, c in p.terms.items()), True)
 
 
 # -- text grammar -------------------------------------------------------------
@@ -522,31 +523,17 @@ def parse_poly(text: str, mu: int | None = None, half_step: bool = False) -> Lau
     s = re.sub(r"\s+", "", text)
     if s == "":
         raise InvalidInput("empty polynomial text")
-    # split into signed terms; a '-' directly after '^' belongs to an exponent
-    terms_text: list[tuple[int, str]] = []
-    sign, start = 1, 0
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        start = 1
-    i = start
-    buf = []
-    while i < len(s):
-        ch = s[i]
-        if ch in "+-" and s[i - 1] != "^":
-            terms_text.append((sign, "".join(buf)))
-            sign = -1 if ch == "-" else 1
-            buf = []
-        else:
-            buf.append(ch)
-        i += 1
-    terms_text.append((sign, "".join(buf)))
-
+    # split before every sign; a '-' directly after '^' belongs to an exponent
+    pieces = re.split(r"(?<!\^)(?=[+-])", s)
+    if pieces[0] == "":  # the text starts with a sign
+        del pieces[0]
     parsed: list[tuple[int, dict[int, int]]] = []
     max_index = 0
-    for sgn, term in terms_text:
+    for piece in pieces:
+        term = piece[1:] if piece[0] in "+-" else piece
         if term == "":
             raise InvalidInput(f"empty term in {text!r}")
-        coeff = sgn
+        coeff = -1 if piece[0] == "-" else 1
         exps: dict[int, int] = {}
         for factor in term.split("*"):
             if factor == "":
@@ -571,16 +558,10 @@ def parse_poly(text: str, mu: int | None = None, half_step: bool = False) -> Lau
         mu = max(max_index, 1)
     elif max_index > mu:
         raise InvalidInput(f"variable t{max_index} exceeds mu={mu}")
-
-    out: dict[Monomial, int] = {}
-    for coeff, exps in parsed:
-        mono = tuple(exps.get(i, 0) for i in range(1, mu + 1))
-        s_ = out.get(mono, 0) + coeff
-        if s_ == 0:
-            out.pop(mono, None)
-        else:
-            out[mono] = s_
-    return LaurentPoly(mu, out, half_step)
+    elif mu < 1:
+        raise InvalidInput("variable count must be >= 1")
+    pairs = ((tuple(exps.get(i, 0) for i in range(1, mu + 1)), coeff) for coeff, exps in parsed)
+    return _accumulate(mu, pairs, bool(half_step))
 
 
 def format_poly(p: LaurentPoly) -> str:

@@ -27,6 +27,7 @@ from linksig.laurent import (
     to_half_step,
     unit_normalize,
 )
+from linksig.laurent import _leading_in, _monomial_shift, _shift_in, _univariate_view
 from linksig.sampler import tbang_points
 from linksig.strata import PresentationMatrix, stratum_indices
 from linksig.torus import Lattice, TorusPoint, denominator_groups, lattice
@@ -443,3 +444,151 @@ def test_power_examples():
     assert P("t - 1") ** 3 == P("t^3 - 3*t^2 + 3*t - 1")
     with pytest.raises(InvalidInput):
         P("t - 1") ** -1
+
+
+class _One:
+    def __index__(self):
+        return 1
+
+
+def test_constructor_refuses_non_integers_and_bad_terms():
+    for make in (lambda: LaurentPoly(1, {(1.5,): 1}),
+                 lambda: LaurentPoly(1, {(0,): 2.7}),
+                 lambda: LaurentPoly(2, {(1, Fraction(2)): 1}),
+                 lambda: LaurentPoly(1, {("3",): 1}),
+                 lambda: LaurentPoly(1, {(0,): 0.0}),
+                 lambda: LaurentPoly.monomial([0.5], 3),
+                 lambda: LaurentPoly.const(2.5, 2),
+                 lambda: LaurentPoly(0, {}),
+                 lambda: LaurentPoly(2, {(1,): 1}),
+                 lambda: LaurentPoly(1, {(1,): 1, (_One(),): 2})):
+        with pytest.raises(InvalidInput) as info:
+            make()
+        assert "\n" not in str(info.value)
+    p = LaurentPoly(2, {(np.int64(1), np.int32(-2)): np.int64(3), (True, 0): np.int8(-1), (0, 0): 0})
+    assert list(p.terms.items()) == [((1, -2), 3), ((1, 0), -1)]
+    assert all(type(x) is int for mono, c in p.terms.items() for x in (*mono, c))
+
+
+def _reference(mu, pairs, half_step):
+    """The pop-on-zero sum of pairs, through the validating constructor."""
+    out = {}
+    for mono, c in pairs:
+        s = out.get(mono, 0) + c
+        if s == 0:
+            out.pop(mono, None)
+        else:
+            out[mono] = s
+    return LaurentPoly(mu, out, half_step)
+
+
+def _ref_mul(a, b):
+    return _reference(a.mu, ((tuple(x + y for x, y in zip(ma, mb)), ca * cb)
+                             for ma, ca in a.terms.items() for mb, cb in b.terms.items()), a.half_step)
+
+
+def _ref_add(a, b):
+    return _reference(a.mu, [*a.terms.items(), *b.terms.items()], a.half_step)
+
+
+def _ref_scale(a, mono, k=1):
+    return _reference(a.mu, ((tuple(x + y for x, y in zip(m, mono)), k * c) for m, c in a.terms.items()),
+                      a.half_step)
+
+
+def _ref_pow(a, n):
+    result, base = LaurentPoly.const(1, a.mu, a.half_step), a
+    while n:
+        if n & 1:
+            result = _ref_mul(result, base)
+        base = _ref_mul(base, base)
+        n >>= 1
+    return result
+
+
+def _ref_shift(a):
+    shift = tuple(min(m[i] for m in a.terms) for i in range(a.mu))
+    return _ref_scale(a, tuple(-s for s in shift)), shift
+
+
+def _ref_normalize(a):
+    if a.is_zero():
+        return a
+    q, _ = _ref_shift(a)
+    return q if q.terms[min(q.terms)] > 0 else _ref_scale(q, (0,) * a.mu, -1)
+
+
+def _ref_div(a, b):
+    if a.is_zero():
+        return a
+    pa, sa = _ref_shift(a)
+    pb, sb = _ref_shift(b)
+    lead_b = max(pb.terms)
+    quotient, rem = [], pa
+    while rem.terms:
+        lead_r = max(rem.terms)
+        diff = tuple(r - s for r, s in zip(lead_r, lead_b))
+        qc = rem.terms[lead_r] // pb.terms[lead_b]
+        quotient.append((diff, qc))
+        rem = _ref_add(rem, _ref_scale(pb, diff, -qc))
+    return _ref_scale(_reference(a.mu, quotient, a.half_step), tuple(x - y for x, y in zip(sa, sb)))
+
+
+def _ref_view(a, k):
+    view = {}
+    for m, c in a.terms.items():
+        view.setdefault(m[k], []).append((tuple(0 if i == k else e for i, e in enumerate(m)), c))
+    return {d: _reference(a.mu, pairs, a.half_step) for d, pairs in view.items()}
+
+
+def _assert_same_terms(result, reference):
+    for mono, c in result.terms.items():
+        assert type(mono) is tuple and len(mono) == result.mu
+        assert all(type(e) is int for e in mono) and type(c) is int and c != 0
+    assert (result.mu, result.half_step) == (reference.mu, reference.half_step)
+    assert list(result.terms.items()) == list(reference.terms.items())
+
+
+@pytest.mark.parametrize("half_step", [False, True])
+@pytest.mark.parametrize("mu", [1, 2, 3, 4])
+def test_ring_results_keep_the_invariant_and_term_order(rng, mu, half_step):
+    """Every ring result has int monomials of length mu and no zero
+    coefficient, with the terms in the order the validating constructor
+    gives to the pop-on-zero sum of the operation's term pairs."""
+    for _ in range(40):
+        # small ranges make running sums cancel and monomials re-enter
+        ranges = {"exp_range": rng.choice([(-1, 1), (-3, 3)]), "coeff_range": rng.choice([(-2, 2), (-9, 9)])}
+        a = random_poly(rng, mu, max_terms=5, half_step=half_step, **ranges)
+        b = random_poly(rng, mu, max_terms=5, half_step=half_step, **ranges)
+        c = random_poly(rng, mu, max_terms=3, half_step=half_step, nonzero=True, **ranges)
+        k = rng.randint(-3, 3)
+        n = rng.randint(0, 3)
+        neg_b = _reference(mu, ((m, -x) for m, x in b.terms.items()), half_step)
+        cases = [
+            (a + b, _ref_add(a, b)),
+            (a - b, _ref_add(a, neg_b)),
+            (-b, neg_b),
+            (a * k, _ref_scale(a, (0,) * mu, k)),
+            (a * b, _ref_mul(a, b)),
+            (a ** n, _ref_pow(a, n)),
+            (unit_normalize(a), _ref_normalize(a)),
+            (_monomial_shift(c)[0], _ref_shift(c)[0]),
+            (exact_div(a * c, c), _ref_div(_ref_mul(a, c), c)),
+            (substitute_diagonal(a), _reference(1, (((sum(m),), x) for m, x in a.terms.items()), half_step)),
+            (conj_involution(a), _reference(mu, ((tuple(-e for e in m), x) for m, x in a.terms.items()), half_step)),
+            (parse_poly(format_poly(a), mu=mu, half_step=half_step),
+             _reference(mu, ((m, a.terms[m]) for m in sorted(a.terms, reverse=True)), half_step)),
+        ]
+        if not half_step:
+            cases.append((to_half_step(a), _reference(mu, ((tuple(2 * e for e in m), x) for m, x in a.terms.items()), True)))
+        var = rng.randrange(mu)
+        view, ref_view = _univariate_view(c, var), _ref_view(c, var)
+        assert list(view) == list(ref_view)
+        cases += [(view[d], ref_view[d]) for d in view]
+        deg, lead = _leading_in(c, var)
+        assert deg == max(ref_view)
+        cases.append((lead, ref_view[deg]))
+        shift = rng.randint(-2, 2)
+        cases.append((_shift_in(c, var, shift), _ref_scale(c, tuple(shift if i == var else 0 for i in range(mu)))))
+        for result, reference in cases:
+            _assert_same_terms(result, reference)
