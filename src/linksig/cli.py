@@ -24,7 +24,7 @@ from .clink import (
     save_slope,
 )
 from .errors import InvalidInput, LinksigError, NotDivisible
-from .hermitian import DEFAULT_TAU
+from .hermitian import DEFAULT_TAU, MAX_TAU
 from .invariants import hosokawa, hosokawa_normalized, slope
 from .laurent import format_poly, parse_poly
 from .sampler import (
@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="linksig",
                                      description="link signature and nullity maps on the torus")
     parser.add_argument("--tau", type=_positive_float, default=DEFAULT_TAU,
-                        help="relative tolerance for inertia and solving")
+                        help=f"relative tolerance for inertia and solving, at most {MAX_TAU:g}")
     parser.add_argument("--tau-poly", type=_positive_float, default=DEFAULT_TAU_POLY,
                         help="relative tolerance for polynomial vanishing")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -246,6 +246,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.tau > MAX_TAU:
+            raise InvalidInput(f"--tau {args.tau:g} is above {MAX_TAU:g}, where certified signatures can be wrong")
         return _COMMANDS[args.command](args)
     except OSError as exc:  # a missing or unreadable input, an unwritable output
         sys.stderr.write(f"error: {exc}\n")

@@ -22,6 +22,21 @@ matter only below the cut, where every eigenvalue already counts as zero.
 Each form's certification margin, min_gap, is the smallest |lambda| / scale
 among the eigenvalues called nonzero.
 
+What certified promises: the split into positive, negative and zero
+eigenvalues relative to the cut is that of the exact eigenvalues of the form
+as given, because each computed eigenvalue lies at least a factor
+UNCERTAIN_BAND from the cut and LAPACK's error stays below cut /
+UNCERTAIN_BAND.  That needs tau well above n^2 * eps; the default 1e-9 has a
+wide margin.  It does not promise that an exact eigenvalue below the cut is
+zero, so a cut above the form's smallest nonzero eigenvalue certifies a
+wrong signature: once tau * scale exceeds every eigenvalue, every form is
+certified as (0, n).  MAX_TAU = 1 / UNCERTAIN_BAND keeps the top of the band
+at or below the scale, so an eigenvalue as large as the scale always counts
+as nonzero; on the catalog links at grids 5, 7 and 12, every row certified
+both at tau = 1e-9 and at tau = MAX_TAU has the same signature and nullity
+at both.  The command line refuses a larger tau; the functions here accept
+any positive tau.
+
 solve_many reads the rank of each system of a stack from one stacked LAPACK
 singular value decomposition (np.linalg.svd), with the same relative cut:
 singular values above tau times the largest entry count.  It gives the
@@ -44,6 +59,7 @@ from .errors import EigensolverFailure, InvalidInput, NonSquare, NotHermitian
 
 DEFAULT_TAU = 1e-9
 UNCERTAIN_BAND = 16.0
+MAX_TAU = 1 / UNCERTAIN_BAND  # the largest tau for which certified holds its promise (see above)
 _HERMITIAN_REL = 1e-9
 
 

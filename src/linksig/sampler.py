@@ -18,6 +18,19 @@ arithmetic; a list is grouped by common denominator), then evaluates each
 group in chunks of rows.  A coordinate counts as 1 iff its numerator is 0 -
 never by float comparison.
 
+A whole lattice with start <= 1 - every grid and every tbang_points lattice
+of the link's arity - is closed under conjugation k -> -k mod n, and
+sigma(conj w) = sigma(w), eta(conj w) = eta(w).  Its sweep evaluates only the
+points at or before their conjugate's position (Lattice.conjugate_positions;
+a point with every k in {0, n/2} is its own conjugate) and copies each row,
+flags included, to its conjugate's row.  The copy is the row that the
+conjugate point gives, bit for bit: the A^eps are integers, unit_root makes
+lower-half-plane roots exact floating conjugates of their mirrors, so the
+coefficients, forms and slope matrices of conj w are exact conjugates of
+those of w, and LAPACK's complex arithmetic is symmetric under conjugation;
+tests/test_sweep_mirror.py checks it against the unhalved list path.
+Lattice slices, other lattices and point lists evaluate every point.
+
 Interior points (no zero numerator) share one coefficient array, one einsum
 for the Hermitian forms and one batched eigvalsh call.  Face points where
 exactly the distinguished coordinate is 1 are batched the same way over the
@@ -137,6 +150,14 @@ class Sweep:
 
     def _flag(self, rows: np.ndarray, flags: tuple[str, ...]) -> None:
         self.flags.update(dict.fromkeys(rows.tolist(), flags))
+
+    def _copy_to_conjugates(self, conjugate: np.ndarray) -> None:
+        # the rows i <= conjugate[i] hold their samples: copy each to row conjugate[i]
+        source = np.minimum(np.arange(len(conjugate)), conjugate)
+        for column in (self.sigma, self.eta, self.sigma_na, self.eta_na, self.source, self.certified, self.min_gap):
+            column[:] = column[source]
+        rows = list(self.flags)
+        self.flags.update(zip(conjugate[rows].tolist(), map(self.flags.__getitem__, rows)))
 
     def _fail(self, rows: np.ndarray, name: str) -> None:
         # rows that failed to evaluate, with the name of the exception
@@ -302,15 +323,23 @@ def sweep(link: ColoredLinkData, points: Iterable[TorusPoint],
     """Evaluate signature/nullity over the given points, in their order, as columns.
 
     A Lattice is kept as it is; any other iterable is read into a list.  A
-    point whose arity is not the link's is an InvalidInput error.  A LAPACK
+    whole lattice closed under conjugation (start <= 1) evaluates one point
+    of each conjugate pair and copies its row to the other.  A point whose
+    arity is not the link's is an InvalidInput error.  A LAPACK
     failure (no finite stack is known to cause one) makes every row of its
     chunk that needed the call an EigensolverFailure, with no retry per row.
     """
     if not link.has_seifert():
         raise MissingSeifertData(f"link {link.name!r} has no Seifert data; nothing to sample")
     size = max(1, min(_CHUNK_POINTS, _CHUNK_ENTRIES // max(1, link.g ** 2)))
+    conjugate = None
     if isinstance(points, Lattice):
         groups = denominator_groups(points) if points.mu == link.mu else []
+        conjugate = points.conjugate_positions() if groups else None
+        if conjugate is not None:  # the rows at or before their conjugate's row
+            [(d, rows, nums)] = groups
+            first = rows <= conjugate
+            groups = [(d, rows[first], nums[first])]
     else:  # the points of the link's arity, grouped by denominator
         points = list(points)
         same = np.array([i for i, pt in enumerate(points) if pt.mu == link.mu])
@@ -325,6 +354,8 @@ def sweep(link: ColoredLinkData, points: Iterable[TorusPoint],
     for d, rows, nums in groups:
         for b in range(0, len(rows), size):
             _evaluate_rows(link, slope_data, faces_hold, d, rows[b:b + size], nums[b:b + size], tau, out)
+    if conjugate is not None:
+        out._copy_to_conjugates(conjugate)
     out._fail(np.flatnonzero(out.source < 0), "InvalidInput")  # the points of another arity
     return out
 

@@ -15,7 +15,9 @@ lattice is one group) and reads unit_root(k, d) for integer arrays of k from
 a table of the distinct k (unit_roots).  The distinct k of an int64 array
 no shorter than d are marked in a d-long table, with no sort
 (map_keys); turn_texts formats a lattice's turns the same way, each
-distinct k/n once.
+distinct k/n once.  A whole lattice with start <= 1 is closed under
+conjugation, and conjugate_positions gives each point's conjugate from the
+same index arithmetic.
 """
 
 from __future__ import annotations
@@ -284,6 +286,21 @@ class Lattice(Sequence[TorusPoint]):
         ks = np.stack(np.unravel_index(flat, (self.n - self.start,) * self.mu), axis=1)
         ks += self.start
         return ks.astype(np.int64, copy=False)
+
+    def conjugate_positions(self) -> np.ndarray | None:
+        """The position of each point's conjugate, the point with turns
+        (-k_j mod n)/n, as an int64 array; None unless this is a whole
+        lattice with start <= 1, the lattices closed under conjugation.
+
+        Positions are lexicographic in the numerators, so the conjugate of
+        the point with numerators k sits at the flat position of
+        (-k mod n) - start.  A point with every k_j in {0, n/2} is its own
+        conjugate.
+        """
+        if self.start > 1 or self.indices != self._whole():
+            return None
+        ks = (-self.numerators()) % self.n - self.start
+        return np.ravel_multi_index(tuple(ks.T), (self.n - self.start,) * self.mu).astype(np.int64, copy=False)
 
 
 def turn_texts(points: Sequence[TorusPoint]) -> np.ndarray:

@@ -14,7 +14,8 @@ import linksig.cli
 from linksig.catalog import get
 from linksig.cli import main
 from linksig.clink import load_link, load_slope, slope_from_dict
-from linksig.sampler import FLAG_ERROR, sample_map, tbang_points
+from linksig.hermitian import MAX_TAU
+from linksig.sampler import FLAG_ERROR, concordance_report, grid, records_to_csv, sample_map, sweep, tbang_points
 
 
 @pytest.fixture
@@ -488,19 +489,36 @@ def _l1_at_huge_tau() -> str:
     return "".join(rows)
 
 
-@pytest.mark.parametrize("argv, code, expected", [
-    (["--tau", "1e308", "sigmap", "T24", "--grid", "3"], 0,
+def _sigmap_csv(link_path: str, n: int, tau: float, slope_path: str | None = None) -> str:
+    # sigmap's CSV through the Python API, which takes any positive tau
+    link = load_link(link_path)
+    slope_data = load_slope(slope_path) if slope_path else None
+    return records_to_csv(sweep(link, grid(n, link.mu, slope_path is not None), slope_data, tau), link.mu)
+
+
+def _report_text(link_path: str, slope_path: str, tau: float) -> str:
+    report = concordance_report(load_link(link_path), load_slope(slope_path), 3, 1, tau)
+    assert not report.witnesses and not report.errors
+    return f"{report.verdict.upper()}\nsamples={report.samples} uncertain={report.uncertain}\n"
+
+
+@pytest.mark.parametrize("argv, api, expected", [
+    (["--tau", "1e308", "sigmap", "T24", "--grid", "3"], lambda paths: _sigmap_csv(paths["T24"], 3, 1e308),
      "q1,q2,sigma,eta,source,certified\n1/3,1/3,0,1,Interior,true\n1/3,2/3,0,1,Interior,true\n"
      "2/3,1/3,0,1,Interior,true\n2/3,2/3,0,1,Interior,true\n"),
-    (["--tau", "1e308", "sigmap", "LINK", "--grid", "3", "--faces", "--slope", "SLOPE"], 0, _l1_at_huge_tau()),
-    (["--tau", "1e308", "report", "LINK", "--slope", "SLOPE", "--prime", "3", "--depth", "1"], 0,
-     "INCONCLUSIVE\nsamples=27 uncertain=0\n"),
-    (["--tau", "0.5", "sigmap", "T24BIG", "--grid", "3"], 3,
+    (["--tau", "1e308", "sigmap", "LINK", "--grid", "3", "--faces", "--slope", "SLOPE"],
+     lambda paths: _sigmap_csv(paths["LINK"], 3, 1e308, paths["SLOPE"]), _l1_at_huge_tau()),
+    (["--tau", "1e308", "report", "LINK", "--slope", "SLOPE", "--prime", "3", "--depth", "1"],
+     lambda paths: _report_text(paths["LINK"], paths["SLOPE"], 1e308), "INCONCLUSIVE\nsamples=27 uncertain=0\n"),
+    (["--tau", "0.5", "sigmap", "T24BIG", "--grid", "3"], lambda paths: _sigmap_csv(paths["T24BIG"], 3, 0.5),
      "q1,q2,sigma,eta,source,certified\n1/3,1/3,0,1,Interior,false\n1/3,2/3,-1,0,Interior,false\n"
      "2/3,1/3,-1,0,Interior,false\n2/3,2/3,0,1,Interior,false\n"),
 ], ids=["sigmap", "sigmap-faces", "report", "sigmap-huge-entries"])
-def test_overflowing_cut_prints_no_warning(exported, capsys, argv, code, expected):
-    # tau * scale, and the uncertain band around it, overflow to inf
+def test_overflowing_cut_prints_no_warning(exported, capsys, argv, api, expected):
+    # The command line refuses a tau above MAX_TAU, which certifies wrong
+    # signatures (t24 at grid 3 is -1,0 at every point).  The API takes it:
+    # there tau * scale, and the uncertain band around it, overflow to inf
+    # without a warning, and every eigenvalue counts as zero.
     assert main(["catalog", "show", "t24", "--export", str(exported["dir"])]) == 0
     data = json.loads((exported["dir"] / "t24.link.json").read_text())
     data["seifert"] = {key: [[10**307 * x for x in row] for row in m] for key, m in data["seifert"].items()}
@@ -508,5 +526,14 @@ def test_overflowing_cut_prints_no_warning(exported, capsys, argv, code, expecte
     paths = {"LINK": exported["link"], "SLOPE": exported["slope"], "T24": str(exported["dir"] / "t24.link.json"),
              "T24BIG": str(exported["dir"] / "t24big.link.json")}
     capsys.readouterr()
-    assert main([paths.get(a, a) for a in argv]) == code
-    assert capsys.readouterr() == (expected, "")
+    assert main([paths.get(a, a) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --tau ") and err.count("\n") == 1
+    assert api(paths) == expected
+
+
+def test_tau_at_the_maximum_is_accepted(exported, capsys):
+    argv = ["--tau", str(MAX_TAU), "sigmap", exported["link"], "--grid", "3"]
+    assert main(argv) in (0, 3)
+    assert capsys.readouterr().err == ""
+    assert main(["--tau", str(MAX_TAU * (1 + 1e-15))] + argv[2:]) == 2
