@@ -26,8 +26,8 @@ numerators of a group of points over one denominator: the exponent sums of
 their distinct monomials are one integer matrix product, the roots one
 table (torus.unit_roots), and each polynomial is summed from the table in
 its own term order.  eval_numerators is eval_family of one polynomial, and
-eval_many groups a list of points for it.  Every path gives eval_at's
-values bit for bit.
+eval_many evaluates it on each group of torus.denominator_groups.  Every
+path gives eval_at's values bit for bit.
 """
 
 from __future__ import annotations
@@ -288,12 +288,13 @@ def eval_family(polys: Sequence[LaurentPoly], d: int, nums: np.ndarray) -> Itera
 
 def eval_many(p: LaurentPoly, points: Sequence[TorusPoint]) -> np.ndarray:
     """eval_at at every point, as one complex128 array with identical values."""
-    for point in points:
-        if p.mu != point.mu:
-            raise InvalidInput(f"arity mismatch: poly has mu={p.mu}, point has mu={point.mu}")
+    groups = denominator_groups(points)
+    for _, _, nums in groups:
+        if nums.shape[1] != p.mu:
+            raise InvalidInput(f"arity mismatch: poly has mu={p.mu}, point has mu={nums.shape[1]}")
     out = np.zeros(len(points), dtype=np.complex128)
     if not p.is_zero():
-        for d, rows, nums in denominator_groups(points):
+        for d, rows, nums in groups:
             out[rows] = eval_numerators(p, d, nums)
     return out
 

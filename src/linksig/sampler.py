@@ -2,21 +2,23 @@
 
 Points are generated in deterministic lexicographic order, and a sweep's
 samples come back in the order of the points, as the columns of a Sweep:
-sigma and eta with NA masks, a source code, certified, the certification
-margin min_gap, and sparse per-row flags.  A Lattice stays a Lattice in the
-Sweep and is never expanded into points; sample_map is the view
-sweep(...).records(), one SampleRecord per point.  The writers, the reports
-and the uncertain-sample rule (Sweep.uncertain) read the columns; given a
-list of records, they turn it into a Sweep first.  A lattice's CSV rows are
-assembled from its numerators, one string per distinct turn and one per
-distinct (sigma, eta, source, certified); its PPM pixels from one colour
-per distinct outcome.
+sigma and eta, a source code, certified, the certification margin min_gap,
+and sparse per-row flags.  Which values are NA follows from the source: a
+Skipped row has no sigma, and only an Interior row has an eta.  A Lattice
+stays a Lattice in the Sweep and is never expanded into points; sample_map
+is the view sweep(...).records(), one SampleRecord per point.  The writers,
+the reports and the uncertain-sample rule (Sweep.uncertain) read the
+columns; given a list of records, they turn it into a Sweep first.  CSV
+rows are assembled from the numerators of each denominator group, one
+string per distinct turn (torus.turn_texts) and one per distinct
+(sigma, eta, source, certified); PPM pixels from one colour per distinct
+outcome.
 
 A sweep groups its points once by the integer numerators k of their turns
 k/d (denominator_groups: a grid or root lattice is one group, from index
-arithmetic; a list is grouped by common denominator), then evaluates each
-group in chunks of rows.  A coordinate counts as 1 iff its numerator is 0 -
-never by float comparison.
+arithmetic; a list is grouped by arity and common denominator), then
+evaluates each group of the link's arity in chunks of rows.  A coordinate
+counts as 1 iff its numerator is 0 - never by float comparison.
 
 A whole lattice with start <= 1 - every grid and every tbang_points lattice
 of the link's arity - is closed under conjugation k -> -k mod n, and
@@ -97,8 +99,10 @@ class Sweep:
     """The samples of a sweep as columns: row i is the sample at points[i].
 
     points is the sequence as given (a Lattice stays a Lattice, never
-    expanded into points).  sigma and eta are int64, 0 where sigma_na and
-    eta_na mark them NA; source indexes SOURCES; min_gap is the certification
+    expanded into points).  source indexes SOURCES and decides which values
+    exist: sigma is NA exactly on Skipped rows and eta exactly on rows that
+    are not Interior (the sigma_na and eta_na masks).  sigma and eta are
+    int64, 0 where NA; min_gap is the certification
     margin of the form behind certified (inertia_many's min_gap: the link's
     form at an interior sample, the sublink's at a face sample), NaN where
     no batch measured one.  flags holds the flags of the rows that have
@@ -108,8 +112,6 @@ class Sweep:
     points: Sequence[TorusPoint]
     sigma: np.ndarray
     eta: np.ndarray
-    sigma_na: np.ndarray
-    eta_na: np.ndarray
     source: np.ndarray
     certified: np.ndarray
     min_gap: np.ndarray
@@ -119,8 +121,8 @@ class Sweep:
     def empty(cls, points: Sequence[TorusPoint]) -> "Sweep":
         """Columns for points with every row pending (source -1)."""
         n = len(points)
-        return cls(points, np.zeros(n, np.int64), np.zeros(n, np.int64), np.ones(n, bool), np.ones(n, bool),
-                   np.full(n, -1, np.int8), np.ones(n, bool), np.full(n, np.nan), {})
+        return cls(points, np.zeros(n, np.int64), np.zeros(n, np.int64), np.full(n, -1, np.int8),
+                   np.ones(n, bool), np.full(n, np.nan), {})
 
     @classmethod
     def of(cls, records: "Sweep | list[SampleRecord]") -> "Sweep":
@@ -129,9 +131,8 @@ class Sweep:
             return records
         points, sigma, eta, source, certified, flags = zip(*records) if records else [()] * 6
         out = cls.empty(list(points))
-        for values, column, na in ((sigma, out.sigma, out.sigma_na), (eta, out.eta, out.eta_na)):
-            na[:] = [value is None for value in values]
-            column[~na] = [value for value in values if value is not None]
+        out.sigma[:] = [value or 0 for value in sigma]
+        out.eta[:] = [value or 0 for value in eta]
         out.source[:] = [SOURCES.index(name) for name in source]
         out.certified[:] = certified
         out.flags.update((i, row_flags) for i, row_flags in enumerate(flags) if row_flags)
@@ -141,12 +142,20 @@ class Sweep:
         self.source[rows] = SOURCES.index(source)
         if sigma is not None:
             self.sigma[rows] = sigma
-            self.sigma_na[rows] = False
         if eta is not None:
             self.eta[rows] = eta
-            self.eta_na[rows] = False
         self.certified[rows] = certified
         self.min_gap[rows] = min_gap
+
+    @property
+    def sigma_na(self) -> np.ndarray:
+        """Which rows have no sigma: the Skipped ones."""
+        return self.source == SOURCES.index(SOURCE_SKIPPED)
+
+    @property
+    def eta_na(self) -> np.ndarray:
+        """Which rows have no eta: all but the Interior ones."""
+        return self.source != SOURCES.index(SOURCE_INTERIOR)
 
     def _flag(self, rows: np.ndarray, flags: tuple[str, ...]) -> None:
         self.flags.update(dict.fromkeys(rows.tolist(), flags))
@@ -154,7 +163,7 @@ class Sweep:
     def _copy_to_conjugates(self, conjugate: np.ndarray) -> None:
         # the rows i <= conjugate[i] hold their samples: copy each to row conjugate[i]
         source = np.minimum(np.arange(len(conjugate)), conjugate)
-        for column in (self.sigma, self.eta, self.sigma_na, self.eta_na, self.source, self.certified, self.min_gap):
+        for column in (self.sigma, self.eta, self.source, self.certified, self.min_gap):
             column[:] = column[source]
         rows = list(self.flags)
         self.flags.update(zip(conjugate[rows].tolist(), map(self.flags.__getitem__, rows)))
@@ -168,14 +177,15 @@ class Sweep:
     def outcomes(self) -> tuple[list[Outcome], np.ndarray]:
         """The distinct (sigma, eta, source, certified) of the rows, None for
         NA, and the index of each row's outcome in that list."""
-        cols = np.stack([self.sigma, self.eta, self.sigma_na, self.eta_na, self.source, self.certified])
+        cols = np.stack([self.sigma, self.eta, self.source, self.certified])
         low = cols.min(axis=1, initial=0)[:, None]
         cols -= low
         dims = tuple((cols.max(axis=1, initial=0) + 1).tolist())
         keys, inv = np.unique(np.ravel_multi_index(tuple(cols), dims), return_inverse=True)
         values = (np.stack(np.unravel_index(keys, dims)) + low).T.tolist()
-        return ([(None if sigma_na else sigma, None if eta_na else eta, SOURCES[source], bool(certified))
-                 for sigma, eta, sigma_na, eta_na, source, certified in values], inv.reshape(-1))
+        return ([(None if SOURCES[source] == SOURCE_SKIPPED else sigma,
+                  eta if SOURCES[source] == SOURCE_INTERIOR else None, SOURCES[source], bool(certified))
+                 for sigma, eta, source, certified in values], inv.reshape(-1))
 
     def records(self) -> list[SampleRecord]:
         """The samples as records, in the order of the points."""
@@ -192,8 +202,7 @@ class Sweep:
 
     def uncertain(self) -> np.ndarray:
         """Which samples were evaluated but are uncertified or flagged."""
-        evaluated = (self.source != SOURCES.index(SOURCE_SKIPPED)) & ~self.sigma_na
-        return evaluated & (~self.certified | self.flagged())
+        return ~self.sigma_na & (~self.certified | self.flagged())
 
     def smallest_margin(self) -> tuple[TorusPoint, float] | None:
         """The first point with the smallest finite min_gap, and that gap;
@@ -203,11 +212,6 @@ class Sweep:
             return None
         i = int(finite[np.argmin(self.min_gap[finite])])
         return self.points[i], float(self.min_gap[i])
-
-
-def uncertain_records(records: list[SampleRecord]) -> list[SampleRecord]:
-    """The samples that were evaluated but are uncertified or flagged (Sweep.uncertain)."""
-    return [records[i] for i in np.flatnonzero(Sweep.of(records).uncertain()).tolist()]
 
 
 @dataclass(frozen=True)
@@ -332,18 +336,14 @@ def sweep(link: ColoredLinkData, points: Iterable[TorusPoint],
     if not link.has_seifert():
         raise MissingSeifertData(f"link {link.name!r} has no Seifert data; nothing to sample")
     size = max(1, min(_CHUNK_POINTS, _CHUNK_ENTRIES // max(1, link.g ** 2)))
-    conjugate = None
-    if isinstance(points, Lattice):
-        groups = denominator_groups(points) if points.mu == link.mu else []
-        conjugate = points.conjugate_positions() if groups else None
-        if conjugate is not None:  # the rows at or before their conjugate's row
-            [(d, rows, nums)] = groups
-            first = rows <= conjugate
-            groups = [(d, rows[first], nums[first])]
-    else:  # the points of the link's arity, grouped by denominator
-        points = list(points)
-        same = np.array([i for i, pt in enumerate(points) if pt.mu == link.mu])
-        groups = [(d, same[rows], nums) for d, rows, nums in denominator_groups([points[i] for i in same])]
+    is_lattice = isinstance(points, Lattice)
+    points = points if is_lattice else list(points)
+    groups = [(d, rows, nums) for d, rows, nums in denominator_groups(points) if nums.shape[1] == link.mu]
+    conjugate = points.conjugate_positions() if is_lattice and groups else None
+    if conjugate is not None:  # the rows at or before their conjugate's row
+        [(d, rows, nums)] = groups
+        first = rows <= conjugate
+        groups = [(d, rows[first], nums[first])]
     faces_hold = slope_data is not None
     if faces_hold:
         try:

@@ -11,9 +11,10 @@ result as numpy columns (Strata): the index, whether the sample is
 Uncertain, and how many coordinates equal 1, counted from the numerators.
 A Lattice (ideals --classify sweeps lattice(n, mu)[1:]) is never expanded
 into points; stratum_indices and stratum_index are views that build one
-StratumReport per sample.  Samples that share the common denominator d of
-their turns form one group with integer numerators; per group and per
-elementary ideal E_r, r = 1, 2, ..., the exponent sums of the distinct
+StratumReport per sample.  Samples that share the arity and the common
+denominator d of their turns form one group with integer numerators
+(torus.denominator_groups, which keeps a lattice one group); per group and
+per elementary ideal E_r, r = 1, 2, ..., the exponent sums of the distinct
 monomials of the ideal's nonzero generators are one integer matrix product
 and their roots one table (laurent.eval_family), each generator is summed
 from that table and compared with its cut, and a sample drops out at its
@@ -41,7 +42,7 @@ from .clink import malformed_record, strict_int
 from .errors import BasePoint, InvalidInput
 from .hermitian import in_uncertain_band
 from .laurent import LaurentPoly, eval_at, eval_family, format_poly, gcd_many, parse_poly, unit_normalize
-from .torus import Lattice, TorusPoint, denominator_groups, map_keys, turn_texts
+from .torus import TorusPoint, denominator_groups, map_keys, turn_texts
 
 DEFAULT_TAU_POLY = 1e-8
 
@@ -205,30 +206,27 @@ def classify(p: PresentationMatrix, points: Sequence[TorusPoint],
     Index r >= 1 needs every nonzero generator of E_1, ..., E_r to vanish
     (vanishes_at); a sample is flagged Uncertain when a generator of one of
     those ideals, or of the first that does not vanish, has |value| in the
-    uncertain band of its cut (hermitian.in_uncertain_band).  A Lattice is
-    checked once for arity and, from its numerators, for the base point; a
-    list point by point, so its first offending point decides.  The samples
-    are classified in batches, one per common denominator (see the module
-    docstring).
+    uncertain band of its cut (hermitian.in_uncertain_band).  A point of
+    another arity is an InvalidInput error and the base point a BasePoint
+    error, both checked from the numerators of the denominator groups; the
+    first offending point decides.  The samples are classified in batches,
+    one per group (see the module docstring).
     """
-    if isinstance(points, Lattice):
-        if points.mu != p.mu:
-            raise InvalidInput(f"point arity {points.mu} != presentation arity {p.mu}")
-    else:
-        for pt in points:
-            if pt.mu != p.mu:
-                raise InvalidInput(f"point arity {pt.mu} != presentation arity {p.mu}")
-            if pt.is_basepoint():
-                raise BasePoint("the stratification lives on the pointed torus")
     index = np.zeros(len(points), dtype=np.int64)
     uncertain = np.zeros(len(points), dtype=bool)
     ones = np.zeros(len(points), dtype=np.int64)
-    for d, rows, nums in denominator_groups(points):
-        at_one = nums == 0
-        if at_one.all(axis=1).any():  # only a Lattice gets here with its base point
-            raise BasePoint("the stratification lives on the pointed torus")
-        ones[rows] = at_one.sum(axis=1)
-        live = np.asarray(rows)  # samples whose index is still climbing
+    groups = denominator_groups(points)
+    offences = []  # (the group's first offending row, its error)
+    for _, rows, nums in groups:
+        ones[rows] = (nums == 0).sum(axis=1)
+        base = rows[ones[rows] == nums.shape[1]]
+        if nums.shape[1] != p.mu:
+            offences.append((rows[0], InvalidInput(f"point arity {nums.shape[1]} != presentation arity {p.mu}")))
+        elif len(base):
+            offences.append((base[0], BasePoint("the stratification lives on the pointed torus")))
+    if offences:
+        raise min(offences, key=lambda offence: offence[0])[1]
+    for d, live, nums in groups:  # live: the samples whose index is still climbing
         for r in range(1, p.m_generators + 1):
             gens = [g for g in p.elementary_ideal(r) if not g.is_zero()]
             near = np.zeros(len(live), dtype=bool)

@@ -9,20 +9,23 @@ A lattice of points (Lattice: every turn k/n for one n <= sys.maxsize) is a
 sequence that knows its denominator: the int64 numerators k of any slice of
 it come from index arithmetic, and its points are assembled from shared
 turns k/n without normalising each turn again (a whole lattice in one
-product over its turns, a slice point by point).  Batched evaluation groups
-points by the common denominator d of their turns (denominator_groups; a
-lattice is one group) and reads unit_root(k, d) for integer arrays of k from
-a table of the distinct k (unit_roots).  The distinct k of an int64 array
-no shorter than d are marked in a d-long table, with no sort
-(map_keys); turn_texts formats a lattice's turns the same way, each
-distinct k/n once.  A whole lattice with start <= 1 is closed under
-conjugation, and conjugate_positions gives each point's conjugate from the
-same index arithmetic.
+product over its turns, a slice point by point).  denominator_groups is the
+one place that tells a lattice from a list: it groups any point sequence by
+arity and by the common denominator d of its turns (a lattice is one
+group), and every batched consumer reads the groups.  Evaluation reads
+unit_root(k, d) for integer arrays of k from a table of the distinct k
+(unit_roots).  The distinct k of an int64 array no shorter than d are
+marked in a d-long table, with no sort (map_keys); turn_texts formats every
+sequence's turns the same way, each distinct k once per group.  A whole
+lattice with start <= 1 is closed under conjugation, and
+conjugate_positions gives each point's conjugate from the same index
+arithmetic.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import re
 import sys
@@ -186,29 +189,6 @@ class TorusPoint:
         return "(" + ", ".join(self.turn_strings()) + ")"
 
 
-def turn_formatter() -> Callable[[TorusPoint], list[str]]:
-    """point -> the strings of its turns, as turn_strings, formatting each
-    distinct turn object once.
-
-    The points of a lattice share their turn objects, so one output of a
-    lattice formats each turn k/n once.  Turns are keyed by object id, and
-    every key's object is kept alive, so no id is reused while the formatter
-    lives.
-    """
-    strings: dict[int, str] = {}
-    kept: list[Fraction] = []
-
-    def new(q: Fraction) -> str:
-        kept.append(q)
-        strings[id(q)] = text = str(q)
-        return text
-
-    def format_turns(point: TorusPoint) -> list[str]:
-        return [strings.get(id(q)) or new(q) for q in point.turns]
-
-    return format_turns
-
-
 def _normalized_point(turns: tuple[Fraction, ...]) -> TorusPoint:
     # turns already Fractions in [0, 1): skip __post_init__'s normalisation
     pt = object.__new__(TorusPoint)
@@ -307,19 +287,18 @@ def turn_texts(points: Sequence[TorusPoint]) -> np.ndarray:
     """The object array of each point's turn strings joined by commas (no
     turn string holds a comma).
 
-    A lattice formats each distinct numerator k once, as str(Fraction(k, n)),
-    and joins its columns by array additions; other points go through
-    turn_formatter.
+    Per denominator group, each distinct numerator k is formatted once, as
+    str(Fraction(k, d)), and the columns are joined by array additions.
     """
-    if isinstance(points, Lattice):
-        nums, n = points.numerators(), points.n
-        texts = map_keys(nums[:, 0], n, lambda k: str(Fraction(k, n)), object)
-        rest = map_keys(nums[:, 1:], n, lambda k: "," + str(Fraction(k, n)), object)
-        for j in range(points.mu - 1):
-            texts = texts + rest[:, j]
-        return texts
-    turn_strings = turn_formatter()
-    return np.array([",".join(turn_strings(pt)) for pt in points], dtype=object)
+    texts = np.empty(len(points), dtype=object)
+    for d, rows, nums in denominator_groups(points):
+        turn = functools.cache(lambda k: str(Fraction(k, d)))
+        joined = map_keys(nums[:, 0], d, turn, object)
+        rest = map_keys(nums[:, 1:], d, lambda k: "," + turn(k), object)
+        for j in range(nums.shape[1] - 1):
+            joined = joined + rest[:, j]
+        texts[rows] = joined
+    return texts
 
 
 def lattice(n: int, mu: int, start: int = 0) -> Lattice:
@@ -327,23 +306,27 @@ def lattice(n: int, mu: int, start: int = 0) -> Lattice:
     return Lattice(n, mu, start)
 
 
-def denominator_groups(points: Sequence[TorusPoint]) -> list[tuple[int, Sequence[int], np.ndarray]]:
-    """The points grouped by the common denominator d of their turns.
+def denominator_groups(points: Sequence[TorusPoint]) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The points grouped by their arity and the common denominator d of
+    their turns.
 
-    One (d, rows, nums) triple per d, in order of first appearance: rows
-    index the group's points in the sequence, and nums[i, j] / d is turn j of
-    points[rows[i]], an integer array: int64 for d < 2^63 (numerators lie in
-    [0, d)), Python ints in an object array beyond.  The points must share one
-    arity.  A Lattice (or a slice of one; n <= sys.maxsize, so int64) is the
-    single group (n, rows, numerators()): its numerators come from index
-    arithmetic, and every consumer reduces k/n to lowest terms (unit_root),
-    so the values are those of the per-point grouping.
+    One (d, rows, nums) triple per (arity, d), in order of first appearance:
+    rows index the group's points in the sequence (an int64 array), and
+    nums[i, j] / d is turn j of points[rows[i]], so nums.shape[1] is the
+    group's arity.  nums is an integer array: int64 for d < 2^63 (numerators
+    lie in [0, d)), Python ints in an object array beyond.  A Lattice (or a
+    slice of one; n <= sys.maxsize, so int64) is the single group
+    (n, rows, numerators()): its numerators come from index arithmetic, and
+    every consumer reduces k/n to lowest terms (unit_root), so the values
+    are those of the per-point grouping.  This is the one place that tells
+    a lattice from a list of points.
     """
     if isinstance(points, Lattice):
         return [(points.n, np.arange(len(points)), points.numerators())] if len(points) else []
-    groups: dict[int, list[int]] = {}
+    groups: dict[tuple[int, int], list[int]] = {}
     for row, pt in enumerate(points):
-        groups.setdefault(math.lcm(*(q.denominator for q in pt.turns)), []).append(row)
-    return [(d, rows, np.array([[q.numerator * (d // q.denominator) for q in points[r].turns]
-                                for r in rows], dtype=np.int64 if d < 1 << 63 else object))
-            for d, rows in groups.items()]
+        groups.setdefault((pt.mu, math.lcm(*(q.denominator for q in pt.turns))), []).append(row)
+    return [(d, np.array(rows, dtype=np.int64),
+             np.array([[q.numerator * (d // q.denominator) for q in points[r].turns] for r in rows],
+                      dtype=np.int64 if d < 1 << 63 else object))
+            for (_, d), rows in groups.items()]

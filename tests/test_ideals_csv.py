@@ -8,7 +8,7 @@ import pytest
 from linksig.cli import main
 from linksig.sampler import grid
 from linksig.strata import PresentationMatrix, load_presentation, save_presentation, stratum_indices
-from linksig.torus import TorusPoint, turn_formatter
+from linksig.torus import TorusPoint
 
 from conftest import random_poly
 
@@ -23,12 +23,11 @@ def reference_ideals(path: str, omega: str | None, n: int, tau_poly: float) -> t
         points = [TorusPoint.from_string(omega)]
     else:
         points = [pt for pt in grid(n, pres.mu, include_faces=True) if not pt.is_basepoint()]
-    turn_strings = turn_formatter()
     for rep in stratum_indices(pres, points, tau_poly):
         predicted = "NA" if rep.predicted_nullity is None else str(rep.predicted_nullity)
         flags = "|".join(sorted(rep.flags))
         uncertain = uncertain or "Uncertain" in rep.flags
-        lines.append(",".join(turn_strings(rep.point) + [str(rep.index), predicted, flags]))
+        lines.append(",".join(rep.point.turn_strings() + (str(rep.index), predicted, flags)))
     return "\n".join(lines) + "\n", 3 if uncertain else 0
 
 

@@ -223,7 +223,7 @@ def test_denominator_groups():
     pts = [TorusPoint.of(Fraction(1, 2), Fraction(1, 3)), TorusPoint.of(0, Fraction(3, 4)),
            TorusPoint.of(Fraction(5, 6), Fraction(1, 2)), TorusPoint.of(0, 0)]
     groups = denominator_groups(pts)
-    assert [(d, rows, nums.tolist()) for d, rows, nums in groups] == [
+    assert [(d, rows.tolist(), nums.tolist()) for d, rows, nums in groups] == [
         (6, [0, 2], [[3, 2], [5, 3]]),
         (4, [1], [[0, 3]]),
         (1, [3], [[0, 0]]),

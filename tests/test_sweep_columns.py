@@ -4,7 +4,9 @@ they replaced and the per-point path."""
 import io
 import json
 import math
+import random
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,9 +31,9 @@ from linksig.sampler import (
     records_to_ppm,
     sample_map,
     sweep,
-    uncertain_records,
+    tbang_points,
 )
-from linksig.torus import turn_formatter
+from linksig.torus import TorusPoint
 
 from per_point import _evaluate_point
 
@@ -42,23 +44,21 @@ def reference_csv(records, mu: int) -> str:
     out = io.StringIO()
     out.write(",".join([f"q{i}" for i in range(1, mu + 1)] + ["sigma", "eta", "source", "certified"]))
     out.write("\n")
-    turn_strings = turn_formatter()
     for rec in records:
         sigma = "NA" if rec.sigma is None else str(rec.sigma)
         eta = "NA" if rec.eta is None else str(rec.eta)
         cert = "true" if rec.certified else "false"
-        out.write(",".join(turn_strings(rec.point) + [sigma, eta, rec.source, cert]))
+        out.write(",".join(rec.point.turn_strings() + (sigma, eta, rec.source, cert)))
         out.write("\n")
     return out.getvalue()
 
 
 def reference_json(records, mu: int) -> str:
-    turn_strings = turn_formatter()
     payload = {
         "mu": mu,
         "records": [
             {
-                "turns": turn_strings(rec.point),
+                "turns": list(rec.point.turn_strings()),
                 "sigma": rec.sigma,
                 "eta": rec.eta,
                 "source": rec.source,
@@ -187,6 +187,16 @@ def test_writers_match_the_record_writers(name):
         assert {rec.flags for rec in records if rec.source == SOURCE_FACE} == {(FLAG_INFINITE_SLOPE,)}
     if name == "one-huge-entry":
         assert {rec.flags[:1] for rec in records} >= {(FLAG_ERROR,), ()}
+    # a shuffled list of several denominators, with two points of another arity
+    sixths = [TorusPoint.of(*(Fraction((k + j) % 6, 6) for j in range(link.mu))) for k in range(6)]
+    other = [TorusPoint.of(*(Fraction(k, 5),) * (link.mu % 3 + 1)) for k in (0, 2)]
+    mixed = list(points) + list(tbang_points(2, 2, link.mu)) + sixths + other
+    random.Random(name).shuffle(mixed)
+    records = sample_map(link, mixed, slope_data)
+    assert records == [_evaluate_point(link, slope_data, pt, DEFAULT_TAU) for pt in mixed]
+    for ours, reference in ((records_to_csv, reference_csv), (records_to_json, reference_json)):
+        text = reference(records, link.mu)
+        assert ours(sweep(link, mixed, slope_data), link.mu) == ours(records, link.mu) == text, ours.__name__
 
 
 def test_rejected_rows_keep_their_errors():
@@ -235,7 +245,6 @@ def test_uncertain_samples_follow_the_record_rule(tmp_path):
         result = sweep(link, grid(n, link.mu, include_faces=True), slope_data, tau)
         records = result.records()
         expected = reference_uncertain(records)
-        assert uncertain_records(records) == expected
         assert [records[i] for i in np.flatnonzero(result.uncertain())] == expected
         save_link(link, str(tmp_path / "link.json"))
         save_slope(slope_data, str(tmp_path / "slope.json"))

@@ -19,7 +19,7 @@ from linksig.torus import (
     denominator_groups,
     lattice,
     map_keys,
-    turn_formatter,
+    turn_texts,
     unit_root,
     unit_roots,
 )
@@ -110,16 +110,18 @@ def test_lattices_beyond_sys_maxsize_points_are_refused():
         assert len(str(err.value)) < 200
 
 
-def test_turn_formatter_formats_each_shared_turn_once(monkeypatch):
+def test_turn_texts_format_each_turn_once_per_group(monkeypatch):
     calls = []
     original = Fraction.__str__
     monkeypatch.setattr(Fraction, "__str__", lambda q: calls.append(q) or original(q))
     points = list(grid(7, 3, include_faces=True))
-    fmt = turn_formatter()
-    assert [fmt(pt) for pt in points] == [[original(q) for q in pt.turns] for pt in points]
-    assert len(calls) == 7
+    assert turn_texts(points).tolist() == [",".join(original(q) for q in pt.turns) for pt in points]
+    assert len(calls) == 8  # 0 for the base point, the one point over 1; 0/7, ..., 6/7 for the rest
     # distinct objects with equal values are formatted alike
-    assert fmt(TorusPoint.of(Fraction(2, 7), "1/7")) == ["2/7", "1/7"]
+    assert turn_texts([TorusPoint.of(Fraction(2, 7), "1/7")]).tolist() == ["2/7,1/7"]
+    calls.clear()
+    assert turn_texts(grid(7, 3)).tolist() == [",".join(original(q) for q in pt.turns) for pt in grid(7, 3)]
+    assert len(calls) == 6
     link = ColoredLinkData("unit", 3, (("K1", 1), ("K2", 2), ("K3", 3)), {}, g=1,
                            seifert={eps: ((1,),) for eps in sign_vectors(3) if eps[0] > 0})
     records = sample_map(link, grid(7, 3))
