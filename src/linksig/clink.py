@@ -238,20 +238,26 @@ def seifert_coefficients(mu: int, points: Sequence[TorusPoint]) -> np.ndarray:
 
     Points are grouped by the common denominator d of their turns
     (denominator_groups), and each group's rows come from its integer
-    numerators (numerator_coefficients).
+    numerators (numerator_coefficients).  A point whose arity is not mu is
+    an InvalidInput error.
     """
     coef = np.empty((len(points), 2**mu), dtype=np.complex128)
     for d, rows, nums in denominator_groups(points):
+        if nums.shape[1] != mu:
+            raise InvalidInput(f"point arity {nums.shape[1]} != mu {mu}")
         coef[rows] = numerator_coefficients(d, nums)
     return coef
 
 
 def hermitian_forms(link: ColoredLinkData, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (P, g, g) forms sum_eps coef[:, eps] A^eps and their scales, as in
-    hermitian_with_scale.  Each scale is summed over eps in order, one
-    column at a time, so a point's scale does not depend on the stack it is
-    in.  Entries that overflow come back infinite, and inertia rejects them.
-    """
+    hermitian_with_scale, for rows of numerator_coefficients, whose entry at
+    -eps is the exact conjugate of that at eps: as A^-eps = (A^eps)^T, the
+    form is M + M^H, M the sum over eps_1 = +1 (the first half of
+    sign_vectors), and Hermitian bit for bit.  Each scale is summed over eps
+    in order, one column at a time, so a point's scale does not depend on the
+    stack it is in.  Entries that overflow come back infinite, and inertia
+    rejects them."""
     if link.seifert is None:
         raise MissingSeifertData(f"link {link.name!r} has no Seifert data")
     stack, amax = _seifert_arrays(link)
@@ -259,7 +265,8 @@ def hermitian_forms(link: ColoredLinkData, coef: np.ndarray) -> tuple[np.ndarray
     with np.errstate(over="ignore", invalid="ignore"):
         for column, a in zip(np.abs(coef).T, amax.tolist()):
             scale += column * a
-        return np.einsum("pe,ejk->pjk", coef, stack), scale
+        m = np.einsum("pe,ejk->pjk", coef[:, :len(stack) // 2], stack[:len(stack) // 2])
+        return m + m.conj().swapaxes(1, 2), scale
 
 
 def hermitian_at(link: ColoredLinkData, point: TorusPoint) -> np.ndarray:

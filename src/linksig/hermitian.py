@@ -1,31 +1,33 @@
 """Certified inertia of dense Hermitian matrices and a tolerance-aware solver.
 
-Signature and nullity come from LAPACK's Hermitian eigenvalue routine
-(np.linalg.eigvalsh), a stack of forms at a time in inertia_many; inertia is
-inertia_many on a stack of one, with the input checks of a single matrix.
+Signature and nullity come from the eigenvalues of a stack of Hermitian
+forms at a time (inertia_many, eigenvalues): LAPACK's Hermitian eigenvalue
+routine (np.linalg.eigvalsh) for n > 2, a closed form for n <= 2.  inertia
+is inertia_many on a stack of one, with the input checks of a single matrix.
 Classification is relative to a scale: by default the largest absolute entry
 of the matrix, but callers that know the structural magnitude of their data
 (e.g. a form assembled from integer matrices and roots of unity) may pass it
 explicitly so that an exact zero produced by cancellation is not mistaken for
 a matrix-sized eigenvalue.
 
-Why eigvalsh is accurate enough: an eigenvalue counts as zero when
+Why the eigenvalues are accurate enough: an eigenvalue counts as zero when
 |lambda| <= cut = tau * scale (tau = 1e-9 by default), and the split is
 certified only when no eigenvalue lies within a factor UNCERTAIN_BAND of the
 cut (in_uncertain_band, which the elementary-ideal strata use as well).
 LAPACK's eigenvalues are backward stable, with absolute errors of order
 n * eps * ||H|| (eps ~ 2.2e-16).  The scale bounds every entry, so
 ||H|| <= n * scale and the error stays below cut / UNCERTAIN_BAND for n up to
-several hundred.  The relative accuracy of Jacobi rotations on small
-eigenvalues (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992) would
-matter only below the cut, where every eigenvalue already counts as zero.
-Each form's certification margin, min_gap, is the smallest |lambda| / scale
-among the eigenvalues called nonzero.
+several hundred.  The closed form scales [[a, conj(b)], [b, c]] exactly, by
+the power of two that brings its largest entry into [1/2, 1), and takes
+big = m + sign(m) sqrt(((a - c) / 2)^2 + |b|^2), m = (a + c) / 2, and
+(a c - |b|^2) / big: no step cancels, and each lies within 8 * eps *
+max|entry| of its exact eigenvalue.  Each form's certification margin,
+min_gap, is the smallest |lambda| / scale among the eigenvalues called nonzero.
 
 What certified promises: the split into positive, negative and zero
 eigenvalues relative to the cut is that of the exact eigenvalues of the form
 as given, because each computed eigenvalue lies at least a factor
-UNCERTAIN_BAND from the cut and LAPACK's error stays below cut /
+UNCERTAIN_BAND from the cut and its error stays below cut /
 UNCERTAIN_BAND.  That needs tau well above n^2 * eps; the default 1e-9 has a
 wide margin.  It does not promise that an exact eigenvalue below the cut is
 zero, so a cut above the form's smallest nonzero eigenvalue certifies a
@@ -105,44 +107,36 @@ def inertia(m: np.ndarray, tau: float = DEFAULT_TAU, scale: float | None = None)
         raise InvalidInput("scale must be nonnegative")
     if not math.isfinite(scale):
         raise EigensolverFailure(f"scale {scale} is not finite")
-    signature, nullity, certified, ok, min_gap = inertia_many(a[None], np.array([scale], dtype=np.float64), tau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm_defect = float(np.abs(a - a.conj().T).max(initial=0.0))
+        sym = (a + a.conj().T) / 2.0
+    if herm_defect > _HERMITIAN_REL * max(entry_scale, scale):
+        raise NotHermitian(f"asymmetry {herm_defect:.3e} exceeds {_HERMITIAN_REL:.0e} * {max(entry_scale, scale):.3e}")
+    signature, nullity, certified, ok, min_gap = inertia_many(sym[None], np.array([scale], dtype=np.float64), tau)
     if not ok[0]:
-        reference = max(entry_scale, scale)
-        with np.errstate(over="ignore"):
-            herm_defect = float(np.abs(a - a.conj().T).max(initial=0.0))
-        if herm_defect > _HERMITIAN_REL * reference:
-            raise NotHermitian(f"asymmetry {herm_defect:.3e} exceeds {_HERMITIAN_REL:.0e} * {reference:.3e}")
         raise EigensolverFailure(f"eigvalsh failed or the symmetrised {n}x{n} form is not finite")
     return InertiaResult(int(signature[0]), int(nullity[0]), bool(certified[0]), float(min_gap[0]))
 
 
 def inertia_many(h: np.ndarray, scale: np.ndarray, tau: float = DEFAULT_TAU
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Signature, nullity and certification of a (P, n, n) stack of forms,
-    one scale per form.
+    """Signature, nullity and certification of a (P, n, n) stack of Hermitian
+    forms (their lower triangles, as eigvalsh reads them), one scale per form.
 
     Eigenvalues with |lambda| > cut = tau * scale count into the signature,
     the rest into the nullity; a row is uncertified when an eigenvalue lies
-    in the uncertain band around its cut.  The Hermitian defect is measured
-    against the larger of the scale and the largest entry, so a form that
-    cancels to rounding residue classifies as zeros.  Returns (signature,
-    nullity, certified, ok, min_gap), where min_gap is the smallest
-    |lambda| / scale among the eigenvalues called nonzero (inf when there is
-    none or the scale is 0).  A row with ok False has a non-finite form,
-    symmetrised form or scale, or fails the Hermitian check; its other
-    entries are meaningless, and inertia on that form gives its error.
+    in the uncertain band around its cut.  Returns (signature, nullity,
+    certified, ok, min_gap), where min_gap is the smallest |lambda| / scale
+    among the eigenvalues called nonzero (inf when there is none or the
+    scale is 0).  A row with ok False has a form h with h + h (the
+    symmetrised form, times 2) not finite, a non-finite scale, or an
+    eigensolver failure; its other entries are meaningless.
     """
-    herm = h.conj().swapaxes(1, 2)
-    entry_scale = np.abs(h).max(axis=(1, 2), initial=0.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow and inf - inf in forms rejected anyway
-        herm_defect = np.abs(h - herm).max(axis=(1, 2), initial=0.0)
-        sym = (h + herm) / 2.0
-    # a finite symmetrised form has a finite h as well
-    ok = (np.isfinite(sym).all(axis=(1, 2)) & np.isfinite(scale)
-          & (herm_defect <= _HERMITIAN_REL * np.maximum(entry_scale, scale)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = np.isfinite(h + h).all(axis=(1, 2)) & np.isfinite(scale)
     eig = np.zeros(h.shape[:2])
     try:
-        eig[ok] = np.linalg.eigvalsh(sym[ok])
+        eig[ok] = eigenvalues(h[ok])
     except np.linalg.LinAlgError:
         ok[:] = False
     absed = np.abs(eig)
@@ -155,6 +149,22 @@ def inertia_many(h: np.ndarray, scale: np.ndarray, tau: float = DEFAULT_TAU
         smallest = np.where(absed > cut, absed, np.inf).min(axis=-1, initial=np.inf)
         min_gap = np.where(scale > 0, smallest / scale, np.inf)
     return n_pos - n_neg, eig.shape[-1] - n_pos - n_neg, certified, ok, min_gap
+
+
+def eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a (P, n, n) stack of finite Hermitian forms, read from their lower
+    triangles: eigvalsh's for n > 2 (LinAlgError propagates), the closed form above for n <= 2."""
+    n = h.shape[-1]
+    if n != 2:
+        return np.linalg.eigvalsh(h) if n > 2 else h.real.reshape(h.shape[:2])
+    a, c, b = h[:, 0, 0].real, h[:, 1, 1].real, h[:, 1, 0]
+    _, e = np.frexp(np.maximum(np.maximum(np.abs(a), np.abs(c)), np.abs(b)))
+    a, c, x, y = (np.ldexp(v, -e) for v in (a, c, b.real, b.imag))
+    b2, mean, half = x * x + y * y, (a + c) / 2, (a - c) / 2
+    big = mean + np.copysign(np.sqrt(half * half + b2), mean)
+    with np.errstate(divide="ignore", invalid="ignore"):  # big is 0 only for a zero form
+        small = np.where(big != 0, (a * c - b2) / big, 0.0)
+    return np.ldexp(np.stack([np.minimum(small, big), np.maximum(small, big)], axis=1), e[:, None])
 
 
 # -- linear solving -----------------------------------------------------------

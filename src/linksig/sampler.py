@@ -8,11 +8,11 @@ Skipped row has no sigma, and only an Interior row has an eta.  A Lattice
 stays a Lattice in the Sweep and is never expanded into points; sample_map
 is the view sweep(...).records(), one SampleRecord per point.  The writers,
 the reports and the uncertain-sample rule (Sweep.uncertain) read the
-columns; given a list of records, they turn it into a Sweep first.  CSV
-rows are assembled from the numerators of each denominator group, one
-string per distinct turn (torus.turn_texts) and one per distinct
-(sigma, eta, source, certified); PPM pixels from one colour per distinct
-outcome.
+columns; given a list of records, they turn it into a Sweep first.  The
+CSV is one join of one object array (torus.csv_lines): one string per
+distinct turn of each denominator group (torus.turn_strings), the commas,
+and one tail per distinct (sigma, eta, source, certified); PPM pixels come
+from one colour per distinct outcome.
 
 A sweep groups its points once by the integer numerators k of their turns
 k/d (denominator_groups: a grid or root lattice is one group, from index
@@ -29,15 +29,17 @@ flags included, to its conjugate's row.  The copy is the row that the
 conjugate point gives, bit for bit: the A^eps are integers, unit_root makes
 lower-half-plane roots exact floating conjugates of their mirrors, so the
 coefficients, forms and slope matrices of conj w are exact conjugates of
-those of w, and LAPACK's complex arithmetic is symmetric under conjugation;
+those of w, and both eigenvalue routes (LAPACK's complex arithmetic and
+the closed form, which reads |b|^2) are symmetric under conjugation;
 tests/test_sweep_mirror.py checks it against the unhalved list path.
 Lattice slices, other lattices and point lists evaluate every point.
 
 Interior points (no zero numerator) share one coefficient array, one einsum
-for the Hermitian forms and one batched eigvalsh call.  Face points where
-exactly the distinguished coordinate is 1 are batched the same way over the
-slope base: the distinguished column is dropped, one coefficient array gives
-both the sublink forms (one batched eigvalsh) and the slope matrices E(omega)
+for the Hermitian forms and one batched inertia_many call (eigvalsh, or the
+closed form of 2x2 forms).  Face points where exactly the distinguished
+coordinate is 1 are batched the same way over the slope base: the
+distinguished column is dropped, one coefficient array gives both the
+sublink forms (one batched inertia_many) and the slope matrices E(omega)
 (one stacked SVD in solve_many).  The face hypotheses on the link itself are
 checked once per sweep.  Faces are computable in two cases: one color
 (omega = 1 via the framed linking matrix) and, for more colors, exactly one
@@ -65,7 +67,7 @@ from .hermitian import DEFAULT_TAU, inertia_many
 from .invariants import check_face_hypotheses, signature_at_full_one, slope_signs
 from .laurent import LaurentPoly, eval_numerators
 from .strata import DEFAULT_TAU_POLY
-from .torus import Lattice, TorusPoint, denominator_groups, lattice, turn_texts
+from .torus import Lattice, TorusPoint, csv_lines, denominator_groups, lattice, turn_strings
 
 SOURCE_INTERIOR = "Interior"
 SOURCE_FACE = "Face"
@@ -289,12 +291,8 @@ def _evaluate_rows(link: ColoredLinkData, slope_data: SlopeData | None, faces_ho
         interior = rows[inner]
         out._put(interior[ok], SOURCE_INTERIOR, sigma[ok], eta[ok], certified[ok], min_gap[ok])
         # inertia raises EigensolverFailure on these rows, not NotHermitian:
-        # the coefficients of eps and -eps are exact floating conjugates and
-        # A^-eps is the transpose of A^eps, so h[j, k] and conj(h[k, j]) add
-        # the same products in another order and differ by about 2^mu *
-        # machine epsilon * scale at most (sums of subnormals are exact), far
-        # below the 1e-9 * scale tolerance; inertia_many rejects a form only
-        # if it is not finite or LAPACK fails.
+        # hermitian_forms builds Hermitian forms bit for bit, so inertia_many
+        # rejects a form only if it overflows or LAPACK fails.
         out._fail(interior[~ok], "EigensolverFailure")
     if link.mu == 1:
         if not inner.all():  # omega = 1, exactly through the framed linking matrix
@@ -450,26 +448,26 @@ def records_to_csv(records: Sweep | list[SampleRecord], mu: int) -> str:
     tails = np.array([f",{_na(sigma)},{_na(eta)},{source},{'true' if certified else 'false'}\n"
                       for sigma, eta, source, certified in outcomes], dtype=object)
     header = ",".join([f"q{i}" for i in range(1, mu + 1)] + ["sigma", "eta", "source", "certified"])
-    return header + "\n" + "".join((turn_texts(result.points) + tails[inv]).tolist())
+    return header + "\n" + csv_lines(result.points, tails[inv])
 
 
 def records_to_json(records: Sweep | list[SampleRecord], mu: int) -> str:
     result = Sweep.of(records)
     outcomes, inv = result.outcomes()
     flags = result.flags
-    rows = zip(turn_texts(result.points).tolist(), map(outcomes.__getitem__, inv.tolist()))
+    rows = zip(turn_strings(result.points).tolist(), map(outcomes.__getitem__, inv.tolist()))
     payload = {
         "mu": mu,
         "records": [
             {
-                "turns": texts.split(","),
+                "turns": [q for q in turns if q],  # without the padding of a shorter point
                 "sigma": sigma,
                 "eta": eta,
                 "source": source,
                 "certified": certified,
                 "flags": list(flags.get(i, ())),
             }
-            for i, (texts, (sigma, eta, source, certified)) in enumerate(rows)
+            for i, (turns, (sigma, eta, source, certified)) in enumerate(rows)
         ],
     }
     return json.dumps(payload, indent=2) + "\n"

@@ -25,8 +25,8 @@ the same order, and magnitudes come from np.hypot, which rounds as
 abs(complex) does.  A sample is flagged Uncertain when a magnitude it was
 classified by lies in the uncertain band of its cut, the band that also
 decides the certification of inertia (hermitian.in_uncertain_band).  The
-ideals CSV (strata_to_csv) is assembled from the columns: one string per
-distinct turn and one tail per distinct (index, predicted, flags).
+ideals CSV (strata_to_csv) is joined once from the columns (torus.csv_lines):
+one string per distinct turn and one tail per distinct (index, predicted, flags).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .clink import malformed_record, strict_int
 from .errors import BasePoint, InvalidInput
 from .hermitian import in_uncertain_band
 from .laurent import LaurentPoly, eval_at, eval_family, format_poly, gcd_many, parse_poly, unit_normalize
-from .torus import TorusPoint, denominator_groups, map_keys, turn_texts
+from .torus import TorusPoint, csv_lines, denominator_groups, map_keys
 
 DEFAULT_TAU_POLY = 1e-8
 
@@ -271,13 +271,13 @@ def strata_to_csv(result: Strata, mu: int) -> str:
     """The ideals CSV: turns, index, predicted_nullity (NA when suppressed)
     and the sorted flags joined by '|', one line per sample.
 
-    Each row is its turn text (torus.turn_texts) plus one tail per distinct
-    (index, predicted, flags).
+    Each row is its turn strings plus one tail per distinct (index,
+    predicted, flags), joined once (torus.csv_lines).
     """
     codes = (result.index * 2 + (result.ones > 2)) * 2 + result.uncertain
     tails = map_keys(codes, 4 * int(result.index.max(initial=0)) + 4, _csv_tail, object)
     header = ",".join([f"q{i}" for i in range(1, mu + 1)] + ["index", "predicted_nullity", "flags"])
-    return header + "\n" + "".join((turn_texts(result.points) + tails).tolist())
+    return header + "\n" + csv_lines(result.points, tails)
 
 
 # -- file schema ----------------------------------------------------------------

@@ -15,8 +15,9 @@ arity and by the common denominator d of its turns (a lattice is one
 group), and every batched consumer reads the groups.  Evaluation reads
 unit_root(k, d) for integer arrays of k from a table of the distinct k
 (unit_roots).  The distinct k of an int64 array no shorter than d are
-marked in a d-long table, with no sort (map_keys); turn_texts formats every
-sequence's turns the same way, each distinct k once per group.  A whole
+marked in a d-long table, with no sort (map_keys); turn_strings formats
+every sequence's turns the same way, each distinct k once per group, and
+csv_lines joins them with commas and per-row tails in one join.  A whole
 lattice with start <= 1 is closed under conjugation, and
 conjugate_positions gives each point's conjugate from the same index
 arithmetic.
@@ -25,7 +26,6 @@ arithmetic.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import re
 import sys
@@ -260,45 +260,60 @@ class Lattice(Sequence[TorusPoint]):
         return map(_normalized_point, product(table, repeat=self.mu))
 
     def numerators(self) -> np.ndarray:
-        """The (P, mu) int64 array of k_j."""
-        r = self.indices
-        flat = np.arange(r.start, r.stop, r.step, dtype=np.int64)
-        ks = np.stack(np.unravel_index(flat, (self.n - self.start,) * self.mu), axis=1)
-        ks += self.start
-        return ks.astype(np.int64, copy=False)
+        """The (P, mu) int64 array of k_j, built once per lattice; read-only."""
+        if "_numerators" not in self.__dict__:
+            r = self.indices
+            flat = np.arange(r.start, r.stop, r.step, dtype=np.int64)
+            ks = np.stack(np.unravel_index(flat, (self.n - self.start,) * self.mu), axis=1, dtype=np.int64) + self.start
+            ks.flags.writeable = False
+            object.__setattr__(self, "_numerators", ks)
+        return self._numerators
 
     def conjugate_positions(self) -> np.ndarray | None:
         """The position of each point's conjugate, the point with turns
         (-k_j mod n)/n, as an int64 array; None unless this is a whole
         lattice with start <= 1, the lattices closed under conjugation.
 
-        Positions are lexicographic in the numerators, so the conjugate of
-        the point with numerators k sits at the flat position of
+        Positions are lexicographic in the numerators, so the conjugate
+        position is built one axis at a time from the conjugate digits
         (-k mod n) - start.  A point with every k_j in {0, n/2} is its own
         conjugate.
         """
         if self.start > 1 or self.indices != self._whole():
             return None
-        ks = (-self.numerators()) % self.n - self.start
-        return np.ravel_multi_index(tuple(ks.T), (self.n - self.start,) * self.mu).astype(np.int64, copy=False)
+        digit = (-np.arange(self.start, self.n, dtype=np.int64)) % self.n - self.start
+        positions = np.zeros((), dtype=np.int64)
+        for _ in range(self.mu):
+            positions = positions[..., None] * (self.n - self.start) + digit
+        return positions.reshape(-1)
 
 
-def turn_texts(points: Sequence[TorusPoint]) -> np.ndarray:
-    """The object array of each point's turn strings joined by commas (no
-    turn string holds a comma).
+def turn_strings(points: Sequence[TorusPoint]) -> np.ndarray:
+    """The (P, w) object array of the points' turn strings, w the largest
+    arity, "" after the turns of a shorter point; each distinct numerator k
+    of a denominator group is formatted once, as str(Fraction(k, d))."""
+    groups = denominator_groups(points)
+    table = np.empty((len(points), max((nums.shape[1] for _, _, nums in groups), default=0)), dtype=object)
+    for d, rows, nums in groups:
+        table[rows, :nums.shape[1]] = map_keys(nums, d, lambda k: str(Fraction(k, d)), object)
+        table[rows, nums.shape[1]:] = ""
+    return table
 
-    Per denominator group, each distinct numerator k is formatted once, as
-    str(Fraction(k, d)), and the columns are joined by array additions.
-    """
-    texts = np.empty(len(points), dtype=object)
-    for d, rows, nums in denominator_groups(points):
-        turn = functools.cache(lambda k: str(Fraction(k, d)))
-        joined = map_keys(nums[:, 0], d, turn, object)
-        rest = map_keys(nums[:, 1:], d, lambda k: "," + turn(k), object)
-        for j in range(nums.shape[1] - 1):
-            joined = joined + rest[:, j]
-        texts[rows] = joined
-    return texts
+
+def csv_lines(points: Sequence[TorusPoint], tails: np.ndarray) -> str:
+    """Each point's turn strings joined by commas and followed by its tail
+    (which starts with a comma and ends the line): one object array of
+    turns, commas and tails, joined once."""
+    table = turn_strings(points)
+    if not len(table):
+        return ""
+    cells = np.empty((len(table), 2 * table.shape[1]), dtype=object)
+    cells[:, 0::2] = table
+    cells[:, 1::2] = ","
+    short = table[:, -1] == ""  # no comma before padding
+    cells[short, 1:-1:2] = np.where(table[short, 1:] == "", "", ",")
+    cells[:, -1] = tails
+    return "".join(cells.ravel().tolist())
 
 
 def lattice(n: int, mu: int, start: int = 0) -> Lattice:

@@ -1,5 +1,6 @@
 """Link data model: forms at torus points, mirror, linking data, file schema."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +37,7 @@ from linksig.hermitian import exact_symmetric_inertia, inertia
 from linksig.torus import TorusPoint, unit_root
 
 from conftest import random_point
+from test_batched_sweep import _random_link
 
 
 def full_entries():
@@ -71,11 +73,31 @@ def test_hermitian_forms_are_hermitian(rng):
         link = entry.link
         for _ in range(250):
             pt = random_point(rng, link.mu, interior=False)
-            h, scale = hermitian_with_scale(link, pt)
-            if h.size == 0:
-                continue
-            defect = np.max(np.abs(h - h.conj().T))
-            assert defect <= 1e-12 * max(scale, 1e-300)
+            h, _ = hermitian_with_scale(link, pt)
+            assert (h == h.conj().T).all() and not h.diagonal().imag.any()  # bit for bit
+
+
+def test_hermitian_form_stacks_are_hermitian_bit_for_bit(nprng):
+    # random links of up to four colors, at lattice points and at list points of many denominators
+    rng = random.Random(2121)
+    for mu, g, zero in ((1, 3, 0), (2, 4, 1), (3, 5, 0), (4, 3, 0), (4, 6, 2)):
+        link = _random_link(rng, mu, g, zero)
+        points = [random_point(rng, mu, interior=False) for _ in range(200)]
+        for coef in (numerator_coefficients(12, nprng.integers(0, 12, (300, mu))), seifert_coefficients(mu, points)):
+            h, scale = hermitian_forms(link, coef)
+            assert (h == h.conj().swapaxes(1, 2)).all()
+            assert not h.diagonal(axis1=1, axis2=2).imag.any()
+            # the sum over every sign vector, up to rounding
+            full = np.einsum("pe,ejk->pjk", coef, np.array([link.seifert_matrix(eps) for eps in sign_vectors(mu)],
+                                                            dtype=float).reshape(-1, g, g))
+            assert (np.abs(h - full) <= 1e-13 * scale[:, None, None]).all()
+
+
+def test_seifert_coefficients_refuse_another_arity():
+    with pytest.raises(InvalidInput, match=r"point arity 1 != mu 2"):
+        seifert_coefficients(2, [TorusPoint.of(Fraction(1, 3))])
+    with pytest.raises(InvalidInput, match=r"point arity 3 != mu 2"):
+        seifert_coefficients(2, [TorusPoint.of("1/2", "1/3"), TorusPoint.of("1/2", "1/3", "1/4")])
 
 
 def test_stack_scales_do_not_depend_on_the_stack(nprng):

@@ -1,14 +1,19 @@
 """Inertia engine and solver: frozen examples, property suites, oracles."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
 from linksig.errors import EigensolverFailure, InvalidInput, NonSquare, NotHermitian
 from linksig.hermitian import (
+    MAX_TAU,
     NonUnique,
     NoSolution,
     Solution,
+    eigenvalues,
     exact_symmetric_inertia,
+    in_uncertain_band,
     inertia,
     inertia_many,
     solve,
@@ -107,7 +112,7 @@ def test_inertia_rejects_nonfinite(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     with pytest.raises(EigensolverFailure):
-        inertia(np.eye(2))
+        inertia(np.eye(3))  # forms up to 2x2 are solved in closed form, without LAPACK
 
 
 def test_inertia_many_matches_inertia(nprng):
@@ -120,9 +125,112 @@ def test_inertia_many_matches_inertia(nprng):
         for k in range(12):
             r = inertia(h[k], scale=float(scale[k]))
             assert (sig[k], null[k], cert[k]) == (r.signature, r.nullity, r.certified)
-    h = np.array([np.eye(2), [[0, 1], [2, 0]], [[np.nan, 0], [0, 1]], np.eye(2)], dtype=complex)
-    _, _, _, ok, _ = inertia_many(h, np.array([1.0, 2.0, 1.0, np.inf]))
-    assert ok.tolist() == [True, False, False, False]
+    h = np.array([np.eye(2), [[np.nan, 0], [0, 1]], np.eye(2)], dtype=complex)
+    _, _, _, ok, _ = inertia_many(h, np.array([1.0, 1.0, np.inf]))
+    assert ok.tolist() == [True, False, False]
+    with pytest.raises(NotHermitian):  # inertia_many takes Hermitian stacks; inertia checks one matrix
+        inertia(np.array([[0, 1], [2, 0]]), scale=2.0)
+
+
+def _eigvalsh_inertia(h, scale, tau):
+    """(signature, nullity, certified, ok) from LAPACK's eigenvalues of every
+    finite form: the classification inertia_many makes, without its closed form."""
+    ok = np.isfinite(h + h).all(axis=(1, 2)) & np.isfinite(scale)
+    eig = np.zeros(h.shape[:2])
+    eig[ok] = np.linalg.eigvalsh(h[ok])
+    cut = tau * scale[:, None]
+    n_pos, n_neg = (eig > cut).sum(axis=1), (eig < -cut).sum(axis=1)
+    return n_pos - n_neg, h.shape[1] - n_pos - n_neg, ~in_uncertain_band(np.abs(eig), cut).any(axis=1), ok
+
+
+def _exact_eigenvalues(form) -> list[Decimal]:
+    """The eigenvalues m -+ sqrt(((a - c) / 2)^2 + |b|^2) of a 2x2 Hermitian
+    form (lower triangle), from its float entries in 60-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, c = Decimal(form[0, 0].real), Decimal(form[1, 1].real)
+        b2 = Decimal(form[1, 0].real) ** 2 + Decimal(form[1, 0].imag) ** 2
+        m, r = (a + c) / 2, (((a - c) / 2) ** 2 + b2).sqrt()
+        return [m - r, m + r]
+
+
+def _random_2x2_forms(nprng, count):
+    """Hermitian 2x2 forms with entries of magnitude 1e-200 to 1e200, either
+    sign: independent magnitudes, one magnitude per form (where eigenvalues
+    can cancel), and singular, zero and scalar forms among them."""
+    def signed(size):
+        return 10.0 ** nprng.uniform(-200, 200, size) * nprng.choice((-1.0, 1.0), size)
+
+    a, c, x, y = (signed(count) for _ in range(4))
+    y[::2] = 0  # real off-diagonals
+    same = 10.0 ** nprng.uniform(-200, 200, count)
+    for entry in (a, c, x, y):
+        entry[::3] = same[::3] * nprng.uniform(-1, 1, len(same[::3]))
+    h = np.moveaxis(np.array([[a + 0j, x - 1j * y], [x + 1j * y, c + 0j]]), 2, 0)
+    # rank one: s v v^H, |v_i| from 1e-100 to 1e100
+    v = np.sqrt(np.abs(signed((count, 2)))) * np.exp(2j * np.pi * nprng.uniform(0, 1, (count, 2)))
+    rank_one = np.sign(signed(count))[:, None, None] * v[:, :, None] * v[:, None, :].conj()
+    h[1::7] = rank_one[1::7]
+    h[2::11] = 0
+    h[3::13] = same[3::13, None, None] * np.eye(2) * np.sign(signed(len(h[3::13])))[:, None, None]
+    return h
+
+
+def _near_band_forms(nprng, tau):
+    """Forms U diag(s u, s r) U^H with scale s, 0.3 <= |u| <= 0.9 and |r| a
+    factor 1.01 from tau / 16, tau or 16 tau: an eigenvalue next to the cut
+    or a band edge."""
+    ratios = np.array([tau * f * o for f in (1 / 16, 1, 16) for o in (1 / 1.01, 1.01)] * 50)
+    count = len(ratios)
+    s = 10.0 ** nprng.uniform(-200, 200, count)
+    one = s * nprng.uniform(0.3, 0.9, count) * nprng.choice((-1.0, 1.0), count)
+    two = s * ratios * nprng.choice((-1.0, 1.0), count)
+    theta, phi = nprng.uniform(0, np.pi, count), nprng.uniform(0, 2 * np.pi, count)
+    cos, sin = np.cos(theta), np.sin(theta) * np.exp(1j * phi)
+    h = np.moveaxis(np.array([[one * cos**2 + two * abs(sin)**2, (one - two) * cos * sin.conj()],
+                              [(one - two) * cos * sin, one * abs(sin)**2 + two * cos**2]]), 2, 0)
+    return h, s
+
+
+def test_closed_form_2x2_eigenvalues_are_within_the_bound(nprng):
+    h = _random_2x2_forms(nprng, 3000)
+    eig = eigenvalues(h)
+    bound = 8 * np.finfo(float).eps * np.abs(h).max(axis=(1, 2))
+    for form, pair, limit in zip(h, eig, bound):
+        assert pair[0] <= pair[1]
+        for value, exact in zip(pair.tolist(), _exact_eigenvalues(form)):
+            assert abs(Decimal(value) - exact) <= Decimal(limit), (form, pair)
+    assert np.array_equal(eigenvalues(h.conj()), eig)  # conjugate forms, identical eigenvalues
+    assert eigenvalues(np.array([[[8e300, 0], [0, 8]]], dtype=complex)).tolist() == [[8, 8e300]]
+
+
+def test_closed_form_2x2_classifies_as_eigvalsh(nprng):
+    h = _random_2x2_forms(nprng, 3000)
+    entry = np.abs(h).max(axis=(1, 2))
+    big = np.abs(np.linalg.eigvalsh(h)).max(axis=1)
+    for tau in (1e-9, MAX_TAU):
+        # random scales, and scales that put the larger eigenvalue a factor 1.01 from the cut or a band edge
+        cases = [(h, entry * nprng.uniform(1, 4, len(h)))]
+        cases += [(h, big / (tau * f * o)) for f in (1 / 16, 1, 16) for o in (1 / 1.01, 1.01)]
+        cases.append(_near_band_forms(nprng, tau))
+        for forms, scale in cases:
+            sig, null, cert, ok, _ = inertia_many(forms, scale, tau)
+            assert ok.all()
+            assert [x.tolist() for x in (sig, null, cert, ok)] == [x.tolist() for x in _eigvalsh_inertia(forms, scale, tau)]
+        assert not _eigvalsh_inertia(*cases[-1], tau)[2].all()  # the near-band forms reach the band
+    # a form that overflows when doubled, a non-finite scale, and the finite forms around them
+    forms = np.array([[[1e308, 0], [0, 1]], np.eye(2), [[1, 1e308], [1e308, 1]], np.eye(2)], dtype=complex)
+    ok = inertia_many(forms, np.array([1e308, np.inf, 1e308, 1.0]))[3]
+    assert ok.tolist() == [False, False, False, True]
+
+
+def test_closed_form_certifies_an_eigenvalue_on_the_band_edge():
+    # the exact eigenvalue 8e300 equals the scale, the top of the band at
+    # MAX_TAU, which is open: certified (LAPACK's rescaling of a matrix this
+    # large can return it one unit in the last place low, inside the band)
+    sig, null, cert, ok, min_gap = inertia_many(np.array([[[8e300, 0], [0, 8]]], dtype=complex),
+                                                np.array([8e300]), MAX_TAU)
+    assert (sig.tolist(), null.tolist(), cert.tolist(), ok.tolist(), min_gap.tolist()) == ([1], [1], [True], [True], [1.0])
 
 
 def test_inertia_many_reports_the_smallest_margin():

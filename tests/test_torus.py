@@ -12,14 +12,15 @@ from hypothesis import strategies as st
 
 from linksig.clink import ColoredLinkData, sign_vectors
 from linksig.errors import InvalidInput
-from linksig.sampler import grid, records_to_csv, records_to_json, sample_map, tbang_points
+from linksig.sampler import grid, records_to_csv, records_to_json, sample_map, sweep, tbang_points
 from linksig.torus import (
     Lattice,
     TorusPoint,
+    csv_lines,
     denominator_groups,
     lattice,
     map_keys,
-    turn_texts,
+    turn_strings,
     unit_root,
     unit_roots,
 )
@@ -110,25 +111,35 @@ def test_lattices_beyond_sys_maxsize_points_are_refused():
         assert len(str(err.value)) < 200
 
 
-def test_turn_texts_format_each_turn_once_per_group(monkeypatch):
+def test_turn_strings_format_each_turn_once_per_group(monkeypatch):
     calls = []
     original = Fraction.__str__
     monkeypatch.setattr(Fraction, "__str__", lambda q: calls.append(q) or original(q))
     points = list(grid(7, 3, include_faces=True))
-    assert turn_texts(points).tolist() == [",".join(original(q) for q in pt.turns) for pt in points]
+    assert turn_strings(points).tolist() == [[original(q) for q in pt.turns] for pt in points]
     assert len(calls) == 8  # 0 for the base point, the one point over 1; 0/7, ..., 6/7 for the rest
     # distinct objects with equal values are formatted alike
-    assert turn_texts([TorusPoint.of(Fraction(2, 7), "1/7")]).tolist() == ["2/7,1/7"]
+    assert turn_strings([TorusPoint.of(Fraction(2, 7), "1/7")]).tolist() == [["2/7", "1/7"]]
     calls.clear()
-    assert turn_texts(grid(7, 3)).tolist() == [",".join(original(q) for q in pt.turns) for pt in grid(7, 3)]
+    assert turn_strings(grid(7, 3)).tolist() == [[original(q) for q in pt.turns] for pt in grid(7, 3)]
     assert len(calls) == 6
     link = ColoredLinkData("unit", 3, (("K1", 1), ("K2", 2), ("K3", 3)), {}, g=1,
                            seifert={eps: ((1,),) for eps in sign_vectors(3) if eps[0] > 0})
-    records = sample_map(link, grid(7, 3))
-    for to_text in (records_to_csv, records_to_json):
-        calls.clear()
-        to_text(records, 3)
-        assert len(calls) == 6
+    for records in (sample_map(link, grid(7, 3)), sweep(link, grid(7, 3))):
+        for to_text in (records_to_csv, records_to_json):
+            calls.clear()
+            to_text(records, 3)
+            assert len(calls) == 6
+
+
+def test_turn_strings_pad_shorter_points_and_csv_lines_join_them():
+    points = [TorusPoint.of("1/2", "1/3"), TorusPoint.of("1/4"), TorusPoint.of("0", "1/6", "5/6")]
+    assert turn_strings(points).tolist() == [["1/2", "1/3", ""], ["1/4", "", ""], ["0", "1/6", "5/6"]]
+    tails = np.array([",a\n", ",b\n", ",c\n"], dtype=object)
+    assert csv_lines(points, tails) == "1/2,1/3,a\n1/4,b\n0,1/6,5/6,c\n"
+    assert csv_lines(points[:2], tails[:2]) == "1/2,1/3,a\n1/4,b\n"
+    assert csv_lines(grid(3, 2)[:2], tails[:2]) == "1/3,1/3,a\n1/3,2/3,b\n"
+    assert turn_strings([]).shape == (0, 0) and csv_lines([], tails[:0]) == ""
 
 
 def test_unit_roots_match_unit_root_on_both_branches():
