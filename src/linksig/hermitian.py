@@ -21,8 +21,17 @@ several hundred.  The closed form scales [[a, conj(b)], [b, c]] exactly, by
 the power of two that brings its largest entry into [1/2, 1), and takes
 big = m + sign(m) sqrt(((a - c) / 2)^2 + |b|^2), m = (a + c) / 2, and
 (a c - |b|^2) / big: no step cancels, and each lies within 8 * eps *
-max|entry| of its exact eigenvalue.  Each form's certification margin,
-min_gap, is the smallest |lambda| / scale among the eigenvalues called nonzero.
+max|entry| of its exact eigenvalue.  LAPACK itself multiplies a form whose
+largest entry lies beyond 2^+-485 by a factor that is not a power of two,
+which rounds every entry: an eigenvalue exactly at the top of the band (one
+equal to the scale at MAX_TAU) can then come back one unit low, inside the
+band.  So eigenvalues solves such a form again, pre-scaled exactly by the
+power of two of its largest |eigenvalue| (between its largest entry and n
+times that), and scales the eigenvalues back: every form then meets LAPACK's
+bound in the range where LAPACK does not rescale, and an eigenvalue it gets
+exactly there (the diagonal of a diagonal form, say) stays exact at any
+magnitude.  Each form's certification margin, min_gap, is the smallest
+|lambda| / scale among the eigenvalues called nonzero.
 
 What certified promises: the split into positive, negative and zero
 eigenvalues relative to the cut is that of the exact eigenvalues of the form
@@ -62,6 +71,7 @@ from .errors import EigensolverFailure, InvalidInput, NonSquare, NotHermitian
 DEFAULT_TAU = 1e-9
 UNCERTAIN_BAND = 16.0
 MAX_TAU = 1 / UNCERTAIN_BAND  # the largest tau for which certified holds its promise (see above)
+_LAPACK_SAFE = 2.0 ** 480  # eigvalsh rescales, inexactly, a form whose largest entry is beyond 2^+-485
 _HERMITIAN_REL = 1e-9
 
 
@@ -153,10 +163,23 @@ def inertia_many(h: np.ndarray, scale: np.ndarray, tau: float = DEFAULT_TAU
 
 def eigenvalues(h: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a (P, n, n) stack of finite Hermitian forms, read from their lower
-    triangles: eigvalsh's for n > 2 (LinAlgError propagates), the closed form above for n <= 2."""
+    triangles: eigvalsh's for n > 2 (LinAlgError propagates), the closed form above for n <= 2.
+
+    A nonzero form of n > 2 whose largest |eigenvalue| lies outside [n / _LAPACK_SAFE, _LAPACK_SAFE]
+    is solved again, scaled by the power of two of that magnitude (see above)."""
     n = h.shape[-1]
-    if n != 2:
-        return np.linalg.eigvalsh(h) if n > 2 else h.real.reshape(h.shape[:2])
+    if n > 2:
+        eig = np.linalg.eigvalsh(h)
+        big = np.maximum(-eig[:, 0], eig[:, -1])
+        far = np.flatnonzero((big > _LAPACK_SAFE) | ((big > 0) & (big < n / _LAPACK_SAFE)))
+        if len(far):
+            _, e = np.frexp(big[far])
+            part = h[far]
+            part.real, part.imag = np.ldexp(part.real, -e[:, None, None]), np.ldexp(part.imag, -e[:, None, None])
+            eig[far] = np.ldexp(np.linalg.eigvalsh(part), e[:, None])
+        return eig
+    if n < 2:
+        return h.real.reshape(h.shape[:2])
     a, c, b = h[:, 0, 0].real, h[:, 1, 1].real, h[:, 1, 0]
     _, e = np.frexp(np.maximum(np.maximum(np.abs(a), np.abs(c)), np.abs(b)))
     a, c, x, y = (np.ldexp(v, -e) for v in (a, c, b.real, b.imag))
@@ -241,7 +264,8 @@ def solve_many(m: np.ndarray, b: np.ndarray, tau: float = DEFAULT_TAU) -> Soluti
         beyond = np.arange(n) >= rank[rows, None]
         solvable[rows] = ~np.any(beyond & (np.abs(c) > tau * rhs_scale[:, None]), axis=1)
         # the least-norm solutions, one product per rank so that each sums its rank terms only
-        for r in np.unique(rank[rows]).tolist():
+        # (the ranks in ascending order, from a count: np.unique would import numpy.ma)
+        for r in np.flatnonzero(np.bincount(rank[rows])).tolist():
             sel = (rank[rows] == r) & solvable[rows]
             w = (c[sel, :r] / s[sel, :r])[..., None]
             alpha[rows[sel]] = (vh[rows[sel], :r].conj().swapaxes(1, 2) @ w)[..., 0]

@@ -427,11 +427,13 @@ def concordance_report(link: ColoredLinkData, slope_data: SlopeData | None,
     result = sweep(link, tbang_points(p, d, link.mu), slope_data, tau)
     # a Skipped sample has no sigma, so a witness is an evaluated sample
     rows = np.flatnonzero(~result.sigma_na & (result.sigma != 0) & result.certified & ~result.flagged())
-    witnesses = tuple((result.points[i], sigma) for i, sigma in zip(rows.tolist(), result.sigma[rows].tolist()))
+    points = result.points  # a Lattice, unless tbang_points is wrapped to return a list (perfbench --trace 1)
+    at = points.take(rows) if isinstance(points, Lattice) else [points[i] for i in rows.tolist()]
+    witnesses = tuple(zip(at, result.sigma[rows].tolist()))
     failed = sorted(i for i, flags in result.flags.items() if FLAG_ERROR in flags)
     verdict = "Obstructed" if witnesses else "Inconclusive"
-    first_error = (result.points[failed[0]], result.flags[failed[0]][1]) if failed else None
-    return ConcordanceReport(verdict, witnesses, p, d, len(result.points), int(result.uncertain().sum()),
+    first_error = (points[failed[0]], result.flags[failed[0]][1]) if failed else None
+    return ConcordanceReport(verdict, witnesses, p, d, len(points), int(result.uncertain().sum()),
                              len(failed), first_error)
 
 

@@ -203,8 +203,9 @@ class Lattice(Sequence[TorusPoint]):
     indices selects positions of the whole lattice (None: all of them);
     indexing with a slice gives the Lattice of those positions.  numerators()
     gives the int64 k_j of the selected points from index arithmetic,
-    without building a point or a Fraction.  The whole lattice iterates as
-    one product over its shared turns, a slice point by point.  Both n and
+    without building a point or a Fraction, and take(rows) builds the points
+    at many positions from them.  The whole lattice iterates as one product
+    over its shared turns, a slice point by point.  Both n and
     the number of points are at most sys.maxsize, the most a sequence can
     count and an int64 can hold.
     """
@@ -258,6 +259,11 @@ class Lattice(Sequence[TorusPoint]):
             return super().__iter__()
         table = [self._turn(k) for k in range(self.start, self.n)]
         return map(_normalized_point, product(table, repeat=self.mu))
+
+    def take(self, rows) -> list[TorusPoint]:
+        """[self[i] for i in rows], built from numerators()[rows] and the shared turns."""
+        return [_normalized_point(tuple(map(self._turn, ks)))
+                for ks in self.numerators()[np.asarray(rows, dtype=np.int64)].tolist()]
 
     def numerators(self) -> np.ndarray:
         """The (P, mu) int64 array of k_j, built once per lattice; read-only."""

@@ -8,6 +8,7 @@ import pytest
 from linksig.errors import EigensolverFailure, InvalidInput, NonSquare, NotHermitian
 from linksig.hermitian import (
     MAX_TAU,
+    InertiaResult,
     NonUnique,
     NoSolution,
     Solution,
@@ -231,6 +232,28 @@ def test_closed_form_certifies_an_eigenvalue_on_the_band_edge():
     sig, null, cert, ok, min_gap = inertia_many(np.array([[[8e300, 0], [0, 8]]], dtype=complex),
                                                 np.array([8e300]), MAX_TAU)
     assert (sig.tolist(), null.tolist(), cert.tolist(), ok.tolist(), min_gap.tolist()) == ([1], [1], [True], [True], [1.0])
+
+
+@pytest.mark.parametrize("x", [8e300, 8e-300])
+def test_eigvalsh_certifies_an_eigenvalue_on_the_band_edge_at_either_end(x):
+    # the same edge through eigvalsh, beyond 2^+-485 where LAPACK rescales
+    # inexactly: eigenvalues pre-scales the form by a power of two instead
+    h = np.diag([x, x * 2.0**-30, x * 2.0**-40]).astype(complex)[None]
+    sig, null, cert, ok, min_gap = inertia_many(h, np.array([x]), MAX_TAU)
+    assert (sig.tolist(), null.tolist(), cert.tolist(), ok.tolist(), min_gap.tolist()) == ([1], [2], [True], [True], [1.0])
+    assert inertia(h[0], MAX_TAU, x) == InertiaResult(1, 2, True, 1.0)
+
+
+def test_eigenvalues_rescale_only_the_forms_beyond_lapacks_range(nprng):
+    h = np.array([random_hermitian(nprng, 3) for _ in range(6)])
+    plain = np.linalg.eigvalsh(h)
+    assert np.array_equal(eigenvalues(h), plain)  # every form in range: eigvalsh's, bit for bit
+    far = h.copy()
+    far[1] *= 2.0**600
+    far[4] *= 2.0**-600
+    eig = eigenvalues(far)
+    assert np.array_equal(eig[[0, 2, 3, 5]], plain[[0, 2, 3, 5]])
+    assert np.array_equal(eig[1], plain[1] * 2.0**600) and np.array_equal(eig[4], plain[4] * 2.0**-600)
 
 
 def test_inertia_many_reports_the_smallest_margin():

@@ -8,6 +8,7 @@ from typing import Iterator
 
 import pytest
 
+from linksig import sampler
 from linksig.catalog import get, ln_face_sigma, t24_sigma
 from linksig.clink import ColoredLinkData
 from linksig.errors import InvalidInput
@@ -299,6 +300,14 @@ def test_concordance_reports():
     unknot = ColoredLinkData("unknot", 1, (("K", 1),), {}, g=0, seifert={(1,): ()})
     rep3 = concordance_report(unknot, None, 2, 2)
     assert rep3.verdict == "Inconclusive"
+
+
+def test_concordance_report_of_a_point_list_matches_the_lattice(monkeypatch):
+    # a wrapped tbang_points that returns its lattice as a list gives the same report
+    entry = get("l(1)")
+    expected = concordance_report(entry.link, entry.slope, 3, 2)
+    monkeypatch.setattr(sampler, "tbang_points", lambda p, d, mu: list(tbang_points(p, d, mu)))
+    assert concordance_report(entry.link, entry.slope, 3, 2) == expected
 
 
 def test_concordance_witnesses_reverify():

@@ -168,6 +168,8 @@ GOLDEN = {
     'report l(1) 3 2 slope': (0, '10729536e1db588d2be1962d592eca8bfe02f31b4fd1aa2706d7218822630696', ''),
     'report l(1) 5 1 plain': (0, '806c60b8dd48190183d2ea8d1678f1abc82a92f3a5f3a320dd7656866c6df31c', ''),
     'report l(1) 5 1 slope': (0, '7ac86ce7a29bb3dd85b743365ed23491218793f7736bebe85982a639f474661d', ''),
+    'report l(1) 3 3 plain': (0, '8b1b3abd1e4f63c4b6408a1b35c6ab9aba6b8995463396b1c088a6a75591d072', ''),
+    'report l(1) 3 3 slope': (0, 'e7a2424c387175c3b394c2a69cc2b06c63705634af626337089dbbea3c879bcc', ''),
     'sigmap l(2) 1e-9 csv 5 plain': (0, '487db95a0ae0e7ff1c3ece72826d60c330d8c7a3b34fcae499810e1fecc71e6b', ''),
     'sigmap l(2) 1e-9 csv 5 faces': (0, '96fb29d784d8238f3beb447350799ee99a8df5972d6f7304a9e6fb7c4d6339e9', ''),
     'sigmap l(2) 1e-9 csv 5 slope': (0, '487db95a0ae0e7ff1c3ece72826d60c330d8c7a3b34fcae499810e1fecc71e6b', ''),
@@ -319,7 +321,8 @@ def _cases() -> list[str]:
                   for tau in TAUS for fmt in formats for n in grids for mode in modes]
         cases += [f"report {key} {p} {d} {with_slope}" for p, d in ((2, 2), (3, 2), (5, 1))
                   for with_slope in ("plain",) + (("slope",) if entry.slope is not None else ())]
-    return cases
+    # the concordance benchmark's command, with and without its slope
+    return cases + ["report l(1) 3 3 plain", "report l(1) 3 3 slope"]
 
 
 def run_case(case: str, export_dir: str, out_path: str) -> tuple[int, str, str]:

@@ -79,6 +79,24 @@ def test_lattice_is_a_sequence_of_the_generated_points(n, mu, start):
     assert L[2:9][1:4] == L[3:6] and hash(L[2:9][1:4]) == hash(L[3:6])
 
 
+@pytest.mark.parametrize("n,mu,start", [(5, 3, 0), (5, 3, 1), (7, 2, 3), (4, 1, 1), (9, 2, 0)])
+def test_lattice_take_builds_the_points_at_the_rows(n, mu, start):
+    L = lattice(n, mu, start)
+    rng = np.random.default_rng(n * 100 + mu * 10 + start)
+    for sl in LATTICE_SLICES:
+        part = L[sl]
+        size = len(part)
+        cases = [[], list(range(size))]
+        if size:
+            cases += [rng.integers(0, size, 12).tolist(), [-1, 0, -size, size - 1], rng.integers(0, size, 5)]
+        for rows in cases:
+            taken = part.take(rows)
+            expected = [part[i] for i in rows]
+            _assert_same(taken, expected)
+            # the same shared Fraction objects as indexing
+            assert [id(q) for pt in taken for q in pt.turns] == [id(q) for pt in expected for q in pt.turns]
+
+
 def test_lattice_slices_share_their_turns():
     L = grid(9, 2)
     turns = {id(q) for part in (L, L[:20], L[30:], L[7:8]) for pt in part for q in pt.turns}
