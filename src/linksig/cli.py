@@ -180,8 +180,7 @@ def _cmd_report(args) -> int:
     slope_data = load_slope(args.slope) if args.slope else None
     report = concordance_report(link, slope_data, args.prime, args.depth, args.tau)
     sys.stdout.write(report.verdict.upper() + "\n")
-    for point, sigma in report.witnesses:
-        sys.stdout.write(f"witness {point} sigma={sigma}\n")
+    sys.stdout.write(report.witness_lines())
     sys.stdout.write(f"samples={report.samples} uncertain={report.uncertain}\n")
     if report.errors:
         point, kind = report.first_error

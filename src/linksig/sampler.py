@@ -9,10 +9,13 @@ stays a Lattice in the Sweep and is never expanded into points; sample_map
 is the view sweep(...).records(), one SampleRecord per point.  The writers,
 the reports and the uncertain-sample rule (Sweep.uncertain) read the
 columns; given a list of records, they turn it into a Sweep first.  The
-CSV is one join of one object array (torus.csv_lines): one string per
-distinct turn of each denominator group (torus.turn_strings), the commas,
-and one tail per distinct (sigma, eta, source, certified); PPM pixels come
-from one colour per distinct outcome.
+CSV and JSON are written in runs of rows that share their leading turns
+(torus.rows_text), from one string per distinct turn of each denominator
+group and one tail per distinct (sigma, eta, source, certified): for JSON,
+per distinct outcome and flags, each scalar through json.dumps, so the text
+is json.dumps(payload, indent=2) byte for byte.  PPM pixels come from one
+colour per distinct outcome, and report's witness lines from the
+witnesses' numerators (ConcordanceReport.witness_lines).
 
 A sweep groups its points once by the integer numerators k of their turns
 k/d (denominator_groups: a grid or root lattice is one group, from index
@@ -55,8 +58,9 @@ link's, are InvalidInput errors.
 from __future__ import annotations
 
 import json
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -67,7 +71,7 @@ from .hermitian import DEFAULT_TAU, inertia_many
 from .invariants import check_face_hypotheses, signature_at_full_one, slope_signs
 from .laurent import LaurentPoly, eval_numerators
 from .strata import DEFAULT_TAU_POLY
-from .torus import Lattice, TorusPoint, csv_lines, denominator_groups, lattice, turn_strings
+from .torus import Lattice, TorusPoint, csv_lines, denominator_groups, index_keys, lattice, rows_text
 
 SOURCE_INTERIOR = "Interior"
 SOURCE_FACE = "Face"
@@ -183,7 +187,7 @@ class Sweep:
         low = cols.min(axis=1, initial=0)[:, None]
         cols -= low
         dims = tuple((cols.max(axis=1, initial=0) + 1).tolist())
-        keys, inv = np.unique(np.ravel_multi_index(tuple(cols), dims), return_inverse=True)
+        keys, inv = index_keys(np.ravel_multi_index(tuple(cols), dims), math.prod(dims))
         values = (np.stack(np.unravel_index(keys, dims)) + low).T.tolist()
         return ([(None if SOURCES[source] == SOURCE_SKIPPED else sigma,
                   eta if SOURCES[source] == SOURCE_INTERIOR else None, SOURCES[source], bool(certified))
@@ -234,6 +238,22 @@ class ConcordanceReport:
     uncertain: int
     errors: int = 0  # samples that failed to evaluate (flagged EvaluationError)
     first_error: tuple[TorusPoint, str] | None = None  # the first of them and its exception type
+    # the witnesses' turns as numerators over prime**depth, one int64 row per
+    # witness; None when the swept points were not a Lattice
+    witness_numerators: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    def witness_lines(self) -> str:
+        """A "witness (q1, ..., q_mu) sigma=s" line per witness, in order,
+        from one string per distinct turn and per distinct sigma
+        (torus.rows_text), read from the numerators when the report has them."""
+        if not self.witnesses:
+            return ""
+        sigmas, which = np.unique([sigma for _, sigma in self.witnesses], return_inverse=True)
+        nums = self.witness_numerators
+        groups = (denominator_groups([point for point, _ in self.witnesses]) if nums is None
+                  else [(self.prime ** self.depth, np.arange(len(nums)), nums)])
+        return rows_text(groups, [f") sigma={sigma}\n" for sigma in sigmas.tolist()], which.reshape(-1),
+                         ", ", "witness (")
 
 
 def grid(n: int, mu: int, include_faces: bool = False) -> Lattice:
@@ -428,13 +448,17 @@ def concordance_report(link: ColoredLinkData, slope_data: SlopeData | None,
     # a Skipped sample has no sigma, so a witness is an evaluated sample
     rows = np.flatnonzero(~result.sigma_na & (result.sigma != 0) & result.certified & ~result.flagged())
     points = result.points  # a Lattice, unless tbang_points is wrapped to return a list (perfbench --trace 1)
-    at = points.take(rows) if isinstance(points, Lattice) else [points[i] for i in rows.tolist()]
+    if isinstance(points, Lattice):
+        nums = points.numerators()[rows]
+        at = points.take(rows)
+    else:
+        nums, at = None, [points[i] for i in rows.tolist()]
     witnesses = tuple(zip(at, result.sigma[rows].tolist()))
     failed = sorted(i for i, flags in result.flags.items() if FLAG_ERROR in flags)
     verdict = "Obstructed" if witnesses else "Inconclusive"
     first_error = (points[failed[0]], result.flags[failed[0]][1]) if failed else None
     return ConcordanceReport(verdict, witnesses, p, d, len(points), int(result.uncertain().sum()),
-                             len(failed), first_error)
+                             len(failed), first_error, nums)
 
 
 # -- output formats --------------------------------------------------------------
@@ -447,32 +471,42 @@ def _na(value: int | None) -> str:
 def records_to_csv(records: Sweep | list[SampleRecord], mu: int) -> str:
     result = Sweep.of(records)
     outcomes, inv = result.outcomes()
-    tails = np.array([f",{_na(sigma)},{_na(eta)},{source},{'true' if certified else 'false'}\n"
-                      for sigma, eta, source, certified in outcomes], dtype=object)
+    tails = [f",{_na(sigma)},{_na(eta)},{source},{'true' if certified else 'false'}\n"
+             for sigma, eta, source, certified in outcomes]
     header = ",".join([f"q{i}" for i in range(1, mu + 1)] + ["sigma", "eta", "source", "certified"])
-    return header + "\n" + csv_lines(result.points, tails[inv])
+    return header + "\n" + csv_lines(result.points, tails, inv)
+
+
+def _json_tail(outcome: Outcome, flags: tuple[str, ...], last: bool) -> str:
+    # what json.dumps(payload, indent=2) writes after a record's last turn
+    values = "".join(f",\n      {json.dumps(key)}: {json.dumps(value)}"
+                     for key, value in zip(("sigma", "eta", "source", "certified"), outcome))
+    listed = ",".join(f"\n        {json.dumps(flag)}" for flag in flags) + "\n      " if flags else ""
+    return f"\n      ]{values},\n      \"flags\": [{listed}]\n    }}" + ("\n" if last else ",\n")
 
 
 def records_to_json(records: Sweep | list[SampleRecord], mu: int) -> str:
+    """json.dumps of {"mu": mu, "records": [...]} with indent=2, one record
+    per row, assembled from the text of each distinct quoted turn and of each
+    distinct (outcome, flags) through the runs of torus.rows_text; the last
+    record has a tail of its own, with no comma."""
     result = Sweep.of(records)
     outcomes, inv = result.outcomes()
-    flags = result.flags
-    rows = zip(turn_strings(result.points).tolist(), map(outcomes.__getitem__, inv.tolist()))
-    payload = {
-        "mu": mu,
-        "records": [
-            {
-                "turns": [q for q in turns if q],  # without the padding of a shorter point
-                "sigma": sigma,
-                "eta": eta,
-                "source": source,
-                "certified": certified,
-                "flags": list(flags.get(i, ())),
-            }
-            for i, (turns, (sigma, eta, source, certified)) in enumerate(rows)
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    head = f'{{\n  "mu": {json.dumps(mu)},\n  "records": ['
+    if not len(inv):
+        return head + "]\n}\n"
+    tails = [_json_tail(outcome, (), False) for outcome in outcomes]
+    which = inv.copy()
+    variants: dict[tuple[int, tuple[str, ...], bool], int] = {}
+    for i in [*result.flags, len(inv) - 1]:  # the sparse flagged rows and the last row
+        key = (int(inv[i]), result.flags.get(i, ()), i == len(inv) - 1)
+        if key not in variants:
+            variants[key] = len(tails)
+            tails.append(_json_tail(outcomes[key[0]], key[1], key[2]))
+        which[i] = variants[key]
+    body = rows_text(denominator_groups(result.points), tails, which, ",\n", '    {\n      "turns": [\n',
+                     lambda q: "        " + json.dumps(str(q)))
+    return head + "\n" + body + "  ]\n}\n"
 
 
 def _pixel(sigma: int | None, source: str, certified: bool) -> tuple[int, int, int]:

@@ -24,9 +24,12 @@ integers, the roots are the same unit_root values, the terms are summed in
 the same order, and magnitudes come from np.hypot, which rounds as
 abs(complex) does.  A sample is flagged Uncertain when a magnitude it was
 classified by lies in the uncertain band of its cut, the band that also
-decides the certification of inertia (hermitian.in_uncertain_band).  The
-ideals CSV (strata_to_csv) is joined once from the columns (torus.csv_lines):
-one string per distinct turn and one tail per distinct (index, predicted, flags).
+decides the certification of inertia (hermitian.in_uncertain_band).  Of
+generators whose terms agree in order up to a global sign, only the first is
+evaluated; the others would give the same magnitudes bit for bit.  The
+ideals CSV (strata_to_csv) is written from the columns in runs of rows that
+share their leading turns (torus.csv_lines): one string per distinct turn
+and one tail per (index, predicted, flags).
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .clink import malformed_record, strict_int
 from .errors import BasePoint, InvalidInput
 from .hermitian import in_uncertain_band
 from .laurent import LaurentPoly, eval_at, eval_family, format_poly, gcd_many, parse_poly, unit_normalize
-from .torus import TorusPoint, csv_lines, denominator_groups, map_keys
+from .torus import TorusPoint, csv_lines, denominator_groups
 
 DEFAULT_TAU_POLY = 1e-8
 
@@ -199,6 +202,21 @@ class Strata(NamedTuple):
         return reports
 
 
+def _distinct_up_to_sign(gens: Sequence[LaurentPoly]) -> list[LaurentPoly]:
+    """The nonzero generators, without those whose terms, in order, are
+    those of an earlier one or their negatives.  A repeat changes no
+    classification: negating every term negates the float sum exactly,
+    np.hypot ignores the sign, and the cut is the same.  Generators with the
+    same terms in another order stay, since their sums can differ in the
+    last bit."""
+    distinct: dict[tuple, LaurentPoly] = {}
+    for g in gens:
+        if not g.is_zero():
+            sign = 1 if next(iter(g.terms.values())) > 0 else -1
+            distinct.setdefault(tuple((mono, sign * c) for mono, c in g.terms.items()), g)
+    return list(distinct.values())
+
+
 def classify(p: PresentationMatrix, points: Sequence[TorusPoint],
              tau_poly: float = DEFAULT_TAU_POLY) -> Strata:
     """The largest r whose elementary ideal vanishes at each sample, as columns.
@@ -228,7 +246,7 @@ def classify(p: PresentationMatrix, points: Sequence[TorusPoint],
         raise min(offences, key=lambda offence: offence[0])[1]
     for d, live, nums in groups:  # live: the samples whose index is still climbing
         for r in range(1, p.m_generators + 1):
-            gens = [g for g in p.elementary_ideal(r) if not g.is_zero()]
+            gens = _distinct_up_to_sign(p.elementary_ideal(r))
             near = np.zeros(len(live), dtype=bool)
             vanish = np.ones(len(live), dtype=bool)
             # a value can overflow only if its generator's coefficient mass
@@ -271,13 +289,13 @@ def strata_to_csv(result: Strata, mu: int) -> str:
     """The ideals CSV: turns, index, predicted_nullity (NA when suppressed)
     and the sorted flags joined by '|', one line per sample.
 
-    Each row is its turn strings plus one tail per distinct (index,
-    predicted, flags), joined once (torus.csv_lines).
+    Each row is its turns plus the tail of its (index, predicted, flags)
+    code, built from runs of rows (torus.csv_lines).
     """
     codes = (result.index * 2 + (result.ones > 2)) * 2 + result.uncertain
-    tails = map_keys(codes, 4 * int(result.index.max(initial=0)) + 4, _csv_tail, object)
+    tails = [_csv_tail(code) for code in range(4 * int(result.index.max(initial=0)) + 4)]
     header = ",".join([f"q{i}" for i in range(1, mu + 1)] + ["index", "predicted_nullity", "flags"])
-    return header + "\n" + csv_lines(result.points, tails)
+    return header + "\n" + csv_lines(result.points, tails, codes)
 
 
 # -- file schema ----------------------------------------------------------------

@@ -15,9 +15,12 @@ arity and by the common denominator d of its turns (a lattice is one
 group), and every batched consumer reads the groups.  Evaluation reads
 unit_root(k, d) for integer arrays of k from a table of the distinct k
 (unit_roots).  The distinct k of an int64 array no shorter than d are
-marked in a d-long table, with no sort (map_keys); turn_strings formats
-every sequence's turns the same way, each distinct k once per group, and
-csv_lines joins them with commas and per-row tails in one join.  A whole
+marked in a d-long table, with no sort (map_keys, index_keys).  Text is
+built the same way for every sequence, each distinct k formatted once per
+group: turn_strings gives the table of turn strings, and rows_text (and
+csv_lines, its CSV case) writes rows in runs that share every numerator but
+the last, one string per run's head and per distinct (last turn, tail), so
+a whole lattice costs one join per n - start rows.  A whole
 lattice with start <= 1 is closed under conjugation, and
 conjugate_positions gives each point's conjugate from the same index
 arithmetic.
@@ -306,20 +309,63 @@ def turn_strings(points: Sequence[TorusPoint]) -> np.ndarray:
     return table
 
 
-def csv_lines(points: Sequence[TorusPoint], tails: np.ndarray) -> str:
-    """Each point's turn strings joined by commas and followed by its tail
-    (which starts with a comma and ends the line): one object array of
-    turns, commas and tails, joined once."""
-    table = turn_strings(points)
-    if not len(table):
-        return ""
-    cells = np.empty((len(table), 2 * table.shape[1]), dtype=object)
-    cells[:, 0::2] = table
-    cells[:, 1::2] = ","
-    short = table[:, -1] == ""  # no comma before padding
-    cells[short, 1:-1:2] = np.where(table[short, 1:] == "", "", ",")
-    cells[:, -1] = tails
-    return "".join(cells.ravel().tolist())
+def index_keys(ks: np.ndarray, den: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of an integer array, ascending, and the position
+    of each entry among them (an int64 array of ks's shape), 0 <= k < den.
+
+    As in map_keys, an int64 array with den <= ks.size marks its keys in a
+    den-long table, with no sort; any other array goes through np.unique.
+    """
+    if ks.dtype == np.int64 and den <= ks.size:
+        present = np.zeros(den, dtype=bool)
+        present[ks] = True
+        return np.flatnonzero(present), (np.cumsum(present) - 1)[ks]
+    keys, inv = np.unique(ks, return_inverse=True)
+    return keys, inv.reshape(ks.shape)
+
+
+def rows_text(groups: list[tuple[int, np.ndarray, np.ndarray]], tails: Sequence[str], which: np.ndarray,
+              sep: str = ",", prefix: str = "", turn: Callable[[Fraction], str] = str) -> str:
+    """The text of every row of the groups (denominator_groups' triples), in
+    row order: row i is prefix, then turn(k/d) for each of its turns, joined
+    by sep, then tails[which[i]].
+
+    Within a group, consecutive rows that share every numerator but the
+    last form a run, whose text is head + head.join(lasts): head is prefix
+    and the leading turns, each followed by sep, and lasts come from one
+    string per distinct (last numerator, tail).  So a whole lattice has one
+    run per n - start rows, and turn is called once per distinct numerator
+    of a group.  The pair keys are positions among the group's distinct
+    numerators, not the numerators, so they stay small whatever d is.
+    """
+    firsts, pieces = [], []
+    for d, rows, nums in groups:
+        start = np.ones(len(rows), dtype=bool)
+        np.not_equal(rows[1:], rows[:-1] + 1, out=start[1:])  # not next to the row before in the output
+        for j in range(nums.shape[1] - 1):
+            start[1:] |= nums[1:, j] != nums[:-1, j]
+        first = np.flatnonzero(start)
+        # every numerator of the group is a last one or in the head of its run
+        keys, at = index_keys(np.concatenate([nums[:, -1], nums[first, :-1].ravel()]), d)
+        texts = np.array([turn(Fraction(k, d)) for k in keys.tolist()], dtype=object)
+        pairs, pair_at = index_keys(at[:len(rows)] * len(tails) + which[rows], len(keys) * len(tails))
+        lasts = (texts[pairs // len(tails)] + np.array(tails, dtype=object)[pairs % len(tails)])[pair_at].tolist()
+        heads = np.full(len(first), prefix, dtype=object)
+        for column in at[len(rows):].reshape(len(first), nums.shape[1] - 1).T:
+            heads += texts[column] + sep
+        bounds = first.tolist() + [len(rows)]
+        firsts.append(rows[first])
+        pieces += [head + head.join(lasts[a:b]) for head, a, b in zip(heads.tolist(), bounds, bounds[1:])]
+    if len(groups) > 1:  # put the runs back in row order
+        pieces = [pieces[i] for i in np.argsort(np.concatenate(firsts)).tolist()]
+    return "".join(pieces)
+
+
+def csv_lines(points: Sequence[TorusPoint], tails: Sequence[str], which: np.ndarray) -> str:
+    """Each point's turn strings joined by commas and followed by
+    tails[which[i]] (which starts with a comma and ends the line), built
+    from runs of rows (rows_text)."""
+    return rows_text(denominator_groups(points), tails, which)
 
 
 def lattice(n: int, mu: int, start: int = 0) -> Lattice:

@@ -1,6 +1,10 @@
-"""The per-point reference for a sweep: one record from the public one-point
+"""The per-point references: a sweep's record from the public one-point
 functions (hermitian_with_scale, inertia, face_parts, signature_at_full_one),
-which the batched sweep must reproduce record for record."""
+which the batched sweep must reproduce record for record, and the JSON
+writer as one json.dumps over one dict per record, which the writer built
+from runs of rows must reproduce byte for byte."""
+
+import json
 
 from linksig.clink import ColoredLinkData, SlopeData, hermitian_with_scale
 from linksig.errors import InvalidInput, LinksigError
@@ -14,8 +18,9 @@ from linksig.sampler import (
     SOURCE_INTERIOR,
     SOURCE_SKIPPED,
     SampleRecord,
+    Sweep,
 )
-from linksig.torus import TorusPoint
+from linksig.torus import TorusPoint, turn_strings
 
 
 def _evaluate_point(link: ColoredLinkData, slope_data: SlopeData | None,
@@ -41,3 +46,25 @@ def _evaluate_point(link: ColoredLinkData, slope_data: SlopeData | None,
     except LinksigError as exc:
         return SampleRecord(point, None, None, SOURCE_SKIPPED, False,
                             (FLAG_ERROR, type(exc).__name__))
+
+
+def records_to_json_per_record(records: Sweep | list[SampleRecord], mu: int) -> str:
+    result = Sweep.of(records)
+    outcomes, inv = result.outcomes()
+    flags = result.flags
+    rows = zip(turn_strings(result.points).tolist(), map(outcomes.__getitem__, inv.tolist()))
+    payload = {
+        "mu": mu,
+        "records": [
+            {
+                "turns": [q for q in turns if q],  # without the padding of a shorter point
+                "sigma": sigma,
+                "eta": eta,
+                "source": source,
+                "certified": certified,
+                "flags": list(flags.get(i, ())),
+            }
+            for i, (turns, (sigma, eta, source, certified)) in enumerate(rows)
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"

@@ -284,6 +284,8 @@ GOLDEN = {
     'report l(4) 3 2 slope': (0, '10729536e1db588d2be1962d592eca8bfe02f31b4fd1aa2706d7218822630696', ''),
     'report l(4) 5 1 plain': (0, '806c60b8dd48190183d2ea8d1678f1abc82a92f3a5f3a320dd7656866c6df31c', ''),
     'report l(4) 5 1 slope': (0, '7ac86ce7a29bb3dd85b743365ed23491218793f7736bebe85982a639f474661d', ''),
+    'sigmap l(1) 1e-9 csv 32 plain': (0, '5db0cc927bb12affbfd5ce29aa1e6c0f3b8f71687f66d54cd3005046b7fea9cb', ''),
+    'sigmap l(1) 1e-9 json 32 plain': (0, '55786f78b642a8d3b0bc600bffa133e53c8507f688ad24281606dc96f2c9ca3a', ''),
 }
 
 
@@ -321,8 +323,10 @@ def _cases() -> list[str]:
                   for tau in TAUS for fmt in formats for n in grids for mode in modes]
         cases += [f"report {key} {p} {d} {with_slope}" for p, d in ((2, 2), (3, 2), (5, 1))
                   for with_slope in ("plain",) + (("slope",) if entry.slope is not None else ())]
-    # the concordance benchmark's command, with and without its slope
-    return cases + ["report l(1) 3 3 plain", "report l(1) 3 3 slope"]
+    # the concordance benchmark's command, with and without its slope, and the
+    # sweep_small_g benchmark's grid (its command prints CSV; JSON too here)
+    return cases + ["report l(1) 3 3 plain", "report l(1) 3 3 slope",
+                    "sigmap l(1) 1e-9 csv 32 plain", "sigmap l(1) 1e-9 json 32 plain"]
 
 
 def run_case(case: str, export_dir: str, out_path: str) -> tuple[int, str, str]:

@@ -153,11 +153,11 @@ def test_turn_strings_format_each_turn_once_per_group(monkeypatch):
 def test_turn_strings_pad_shorter_points_and_csv_lines_join_them():
     points = [TorusPoint.of("1/2", "1/3"), TorusPoint.of("1/4"), TorusPoint.of("0", "1/6", "5/6")]
     assert turn_strings(points).tolist() == [["1/2", "1/3", ""], ["1/4", "", ""], ["0", "1/6", "5/6"]]
-    tails = np.array([",a\n", ",b\n", ",c\n"], dtype=object)
-    assert csv_lines(points, tails) == "1/2,1/3,a\n1/4,b\n0,1/6,5/6,c\n"
-    assert csv_lines(points[:2], tails[:2]) == "1/2,1/3,a\n1/4,b\n"
-    assert csv_lines(grid(3, 2)[:2], tails[:2]) == "1/3,1/3,a\n1/3,2/3,b\n"
-    assert turn_strings([]).shape == (0, 0) and csv_lines([], tails[:0]) == ""
+    tails, which = [",a\n", ",b\n", ",c\n"], np.arange(3)
+    assert csv_lines(points, tails, which) == "1/2,1/3,a\n1/4,b\n0,1/6,5/6,c\n"
+    assert csv_lines(points[:2], tails, which[:2]) == "1/2,1/3,a\n1/4,b\n"
+    assert csv_lines(grid(3, 2)[:2], tails, which[:2]) == "1/3,1/3,a\n1/3,2/3,b\n"
+    assert turn_strings([]).shape == (0, 0) and csv_lines([], tails, which[:0]) == ""
 
 
 def test_unit_roots_match_unit_root_on_both_branches():
