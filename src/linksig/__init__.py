@@ -10,8 +10,6 @@ from . import catalog
 from .clink import (
     ColoredLinkData,
     SlopeData,
-    hermitian_at,
-    hermitian_with_scale,
     link_from_dict,
     link_to_dict,
     load_link,
@@ -22,7 +20,6 @@ from .clink import (
     save_slope,
     seifert_framed_linking_matrix,
     slope_from_dict,
-    slope_matrix_at,
     slope_to_dict,
 )
 from .errors import (
@@ -52,8 +49,6 @@ from .hermitian import (
 )
 from .invariants import (
     SlopeValue,
-    face_parts,
-    face_signature,
     hosokawa,
     hosokawa_normalized,
     hosokawa_two_component,
@@ -64,8 +59,6 @@ from .laurent import (
     LaurentPoly,
     conj_involution,
     eq_up_to_units,
-    eval_at,
-    eval_many,
     exact_div,
     format_poly,
     gcd,
@@ -84,22 +77,16 @@ from .sampler import (
     records_to_csv,
     records_to_json,
     records_to_ppm,
-    sample_map,
     sweep,
     tbang_points,
 )
 from .strata import (
     PresentationMatrix,
     Strata,
-    StratumReport,
     classify,
-    elementary_ideal,
     first_ideal_gcd,
     load_presentation,
     save_presentation,
-    stratum_index,
-    stratum_indices,
-    vanishes_at,
 )
 from .torus import TorusPoint, unit_root
 

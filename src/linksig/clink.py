@@ -6,8 +6,10 @@ vectors eps in {+1,-1}^mu, subject to the completion rule A^{-eps} =
 (A^eps)^T.  From these the package assembles the Hermitian form at a torus
 point and, for a link with a distinguished component, the slope system.
 Both are assembled by one arithmetic, over a stack of points
-(hermitian_forms, slope_matrices); the one-point forms hermitian_with_scale
-and slope_matrix_at are those kernels on a stack of one.
+(hermitian_forms, slope_matrices), from the coefficient rows of a group of
+points over one denominator (numerator_coefficients); a single point is a
+stack of one.  tests/per_point.py builds its reference records from the
+same kernels.
 
 Records without Seifert data (polynomial-only inputs) are legal; they feed
 the Hosokawa computations but cannot be sampled.
@@ -20,13 +22,13 @@ import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .errors import CoordinateOne, InvalidInput, MissingSeifertData, Mu1NotApplicable, Mu1Only
+from .errors import InvalidInput, MissingSeifertData, Mu1NotApplicable, Mu1Only
 from .laurent import LaurentPoly, format_poly, parse_poly
-from .torus import TorusPoint, denominator_groups, unit_roots
+from .torus import unit_roots
 
 SignVector = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -232,32 +234,18 @@ def numerator_coefficients(d: int, nums: np.ndarray) -> np.ndarray:
     return c
 
 
-def seifert_coefficients(mu: int, points: Sequence[TorusPoint]) -> np.ndarray:
-    """The (P, 2^mu) array of prod_i (1 - conj(omega_i)^{eps_i}), one row per
-    point and one column per sign vector in sign_vectors order.
-
-    Points are grouped by the common denominator d of their turns
-    (denominator_groups), and each group's rows come from its integer
-    numerators (numerator_coefficients).  A point whose arity is not mu is
-    an InvalidInput error.
-    """
-    coef = np.empty((len(points), 2**mu), dtype=np.complex128)
-    for d, rows, nums in denominator_groups(points):
-        if nums.shape[1] != mu:
-            raise InvalidInput(f"point arity {nums.shape[1]} != mu {mu}")
-        coef[rows] = numerator_coefficients(d, nums)
-    return coef
-
-
 def hermitian_forms(link: ColoredLinkData, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (P, g, g) forms sum_eps coef[:, eps] A^eps and their scales, as in
-    hermitian_with_scale, for rows of numerator_coefficients, whose entry at
-    -eps is the exact conjugate of that at eps: as A^-eps = (A^eps)^T, the
-    form is M + M^H, M the sum over eps_1 = +1 (the first half of
-    sign_vectors), and Hermitian bit for bit.  Each scale is summed over eps
-    in order, one column at a time, so a point's scale does not depend on the
-    stack it is in.  Entries that overflow come back infinite, and inertia
-    rejects them."""
+    """The (P, g, g) Hermitian forms sum_eps coef[:, eps] A^eps and their
+    scales, for rows of numerator_coefficients, whose entry at -eps is the
+    exact conjugate of that at eps: as A^-eps = (A^eps)^T, the form is
+    M + M^H, M the sum over eps_1 = +1 (the first half of sign_vectors), and
+    Hermitian bit for bit.
+
+    The scale sum_eps |coef(eps)| * max|A^eps| bounds every entry; inertia
+    thresholds relative to it keep exact cancellations classified as zeros.
+    Each scale is summed over eps in order, one column at a time, so a
+    point's scale does not depend on the stack it is in.  Entries that
+    overflow come back infinite, and inertia rejects them."""
     if link.seifert is None:
         raise MissingSeifertData(f"link {link.name!r} has no Seifert data")
     stack, amax = _seifert_arrays(link)
@@ -267,26 +255,6 @@ def hermitian_forms(link: ColoredLinkData, coef: np.ndarray) -> tuple[np.ndarray
             scale += column * a
         m = np.einsum("pe,ejk->pjk", coef[:, :len(stack) // 2], stack[:len(stack) // 2])
         return m + m.conj().swapaxes(1, 2), scale
-
-
-def hermitian_at(link: ColoredLinkData, point: TorusPoint) -> np.ndarray:
-    """The g x g Hermitian form sum_eps prod_i(1 - conj(omega_i)^eps_i) A^eps."""
-    return hermitian_with_scale(link, point)[0]
-
-
-def hermitian_with_scale(link: ColoredLinkData, point: TorusPoint) -> tuple[np.ndarray, float]:
-    """The Hermitian form together with its structural magnitude.
-
-    The scale sum_eps |coeff(eps)| * max|A^eps| bounds every entry; inertia
-    thresholds relative to it keep exact cancellations classified as zeros.
-    Entries that overflow come back non-finite, and inertia rejects them.
-    This is hermitian_forms on a stack of one (seifert_coefficients of the
-    point), so a point has the same form and scale in any batch.
-    """
-    if point.mu != link.mu:
-        raise InvalidInput(f"point arity {point.mu} != link mu {link.mu}")
-    h, scale = hermitian_forms(link, seifert_coefficients(link.mu, [point]))
-    return h[0], float(scale[0])
 
 
 @dataclass(frozen=True)
@@ -310,28 +278,12 @@ class SlopeData:
             raise InvalidInput("distinguished_color must be >= 1")
 
 
-def slope_matrix_at(slope_data: SlopeData, point: TorusPoint) -> np.ndarray:
-    """E(omega) = sum_eps prod_i (1 - omega_i^{eps_i})^{-1} A^eps over the base.
-
-    This is slope_matrices on a stack of one, so a point has the same matrix
-    in any batch.  Entries that overflow come back non-finite, and solve
-    rejects them; a product that underflows to 0 has the inverse numpy gives
-    for 1 / 0j.
-    """
-    base = slope_data.base
-    if point.mu != base.mu:
-        raise InvalidInput(f"point arity {point.mu} != base mu {base.mu}")
-    ones = point.unit_coordinates()
-    if ones:
-        raise CoordinateOne(f"slope matrix undefined: coordinate(s) {ones} equal 1")
-    return slope_matrices(slope_data, seifert_coefficients(base.mu, [point]))[0]
-
-
 def slope_matrices(slope_data: SlopeData, coef: np.ndarray) -> np.ndarray:
-    """The (P, g, g) stack of E(omega) from the base's coefficient rows, as in
-    slope_matrix_at: the entry of coef at -eps is prod_i (1 - omega_i^{eps_i}),
-    so the coefficients of E are 1 / coef[:, ::-1].  No point may have a
-    coordinate 1 (a zero coefficient).
+    """The (P, g, g) stack of E(omega) = sum_eps prod_i (1 - omega_i^{eps_i})^{-1}
+    A^eps over the base, from the base's coefficient rows: the entry of coef
+    at -eps is prod_i (1 - omega_i^{eps_i}), so the coefficients of E are
+    1 / coef[:, ::-1].  No point may have a coordinate 1 (a zero
+    coefficient).  Entries that overflow come back non-finite.
     """
     stack, _ = _seifert_arrays(slope_data.base)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

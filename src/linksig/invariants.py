@@ -6,7 +6,8 @@ to the Conway potential with half-integer factors and carries no unit
 ambiguity.  The slope of a link with distinguished component K solves
 E(omega) alpha = [K] and evaluates -K(alpha); on a face where exactly the
 distinguished coordinate is 1 the signature is the sublink signature plus the
-sign of the slope.
+sign of the slope, which sampler.sweep evaluates in batches (slope_signs);
+tests/per_point.py evaluates it point by point, from slope, as a reference.
 """
 
 from __future__ import annotations
@@ -19,16 +20,15 @@ import numpy as np
 from .clink import (
     ColoredLinkData,
     SlopeData,
-    hermitian_with_scale,
     nu_exponents,
+    numerator_coefficients,
     seifert_framed_linking_matrix,
     slope_matrices,
-    slope_matrix_at,
 )
-from .errors import AmbiguousSlope, EigensolverFailure, InvalidInput, Mu1Only, NotReal
-from .hermitian import DEFAULT_TAU, InertiaResult, Solutions, exact_symmetric_inertia, inertia, solve_many
+from .errors import AmbiguousSlope, CoordinateOne, EigensolverFailure, InvalidInput, Mu1Only, NotReal
+from .hermitian import DEFAULT_TAU, Solutions, exact_symmetric_inertia, solve_many
 from .laurent import LaurentPoly, exact_div, unit_normalize
-from .torus import TorusPoint
+from .torus import TorusPoint, denominator_groups
 
 _SLOPE_IMAG_REL = 1e-9
 _SLOPE_ZERO_REL = 1e-9
@@ -151,14 +151,23 @@ def slope(slope_data: SlopeData, point: TorusPoint, tau: float = DEFAULT_TAU) ->
     No solution means [K] is outside the image, i.e. the slope is infinite.
     A rank-deficient system is accepted only when the class annihilates the
     kernel, so the value is constant on the solution set.  A system or value
-    that is not finite raises EigensolverFailure.  slope_signs is the batched
-    counterpart.
+    that is not finite raises EigensolverFailure, a point of another arity
+    than the base's InvalidInput and a coordinate 1 CoordinateOne.  The
+    point is a stack of one for slope_matrices and solve_many; slope_signs
+    is the batched counterpart.
     """
-    e_mat = slope_matrix_at(slope_data, point)
+    base = slope_data.base
+    if point.mu != base.mu:
+        raise InvalidInput(f"point arity {point.mu} != base mu {base.mu}")
+    ones = point.unit_coordinates()
+    if ones:
+        raise CoordinateOne(f"slope matrix undefined: coordinate(s) {ones} equal 1")
+    [(d, _, nums)] = denominator_groups([point])
+    e_mat = slope_matrices(slope_data, numerator_coefficients(d, nums))
     k = np.array(slope_data.k_class, dtype=np.complex128)
     if not np.all(np.isfinite(e_mat)):
         raise EigensolverFailure(f"a {k.size}x{k.size} system has non-finite entries")
-    sols = solve_many(e_mat[None], k[None], tau)
+    sols = solve_many(e_mat, k[None], tau)
     if not sols.ok[0]:
         raise EigensolverFailure(f"svd failed on a {k.size}x{k.size} matrix")
     if not sols.solvable[0]:
@@ -184,7 +193,7 @@ def _slope_zero_tol(slope_data: SlopeData, value: float | np.ndarray) -> float |
 def slope_signs(slope_data: SlopeData, coef: np.ndarray,
                 tau: float = DEFAULT_TAU) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The slope's sign at a batch of points, from the base's coefficient rows
-    (numerator_coefficients or seifert_coefficients).
+    (numerator_coefficients).
 
     Builds every E(omega) from the same array and solves them with one
     solve_many.  Returns (sign, infinite, error); an infinite slope has sign
@@ -206,19 +215,6 @@ def slope_signs(slope_data: SlopeData, coef: np.ndarray,
     return np.where(infinite, 0, sign), infinite, error
 
 
-@dataclass(frozen=True)
-class FaceParts:
-    """Intermediate pieces of a face-signature evaluation."""
-
-    sublink_inertia: InertiaResult
-    slope_value: SlopeValue
-    slope_sign: int
-
-    @property
-    def signature(self) -> int:
-        return self.sublink_inertia.signature + self.slope_sign
-
-
 def check_face_hypotheses(link: ColoredLinkData, slope_data: SlopeData) -> None:
     """Raise InvalidInput unless the link-level hypotheses of the face
     formula hold: the distinguished color is at most mu, the distinguished
@@ -233,36 +229,6 @@ def check_face_hypotheses(link: ColoredLinkData, slope_data: SlopeData) -> None:
         raise InvalidInput(f"nonzero linking between the distinguished component and {bad}")
     if slope_data.base.mu != link.mu - 1:
         raise InvalidInput("slope base arity must be mu - 1")
-
-
-def face_parts(link: ColoredLinkData, slope_data: SlopeData, point: TorusPoint,
-               tau: float = DEFAULT_TAU) -> FaceParts:
-    """Validate the face hypotheses and evaluate both terms of the formula."""
-    if point.mu != link.mu:
-        raise InvalidInput(f"point arity {point.mu} != link mu {link.mu}")
-    check_face_hypotheses(link, slope_data)
-    dist = slope_data.distinguished_color
-    ones = point.unit_coordinates()
-    if ones != (dist,):
-        raise InvalidInput(
-            f"face evaluation needs exactly the distinguished coordinate {dist} equal to 1, got {ones}"
-        )
-    sub_point = point.drop(dist)
-    h, scale = hermitian_with_scale(slope_data.base, sub_point)
-    sub = inertia(h, tau, scale=scale)
-    value = slope(slope_data, sub_point, tau)
-    sign = value.sign(_slope_zero_tol(slope_data, value.value))
-    return FaceParts(sub, value, sign)
-
-
-def face_signature(link: ColoredLinkData, slope_data: SlopeData, point: TorusPoint,
-                   tau: float = DEFAULT_TAU) -> int:
-    """Signature at a face point: sublink signature plus the slope sign.
-
-    An infinite slope contributes 0; consumers needing the distinction should
-    use face_parts.
-    """
-    return face_parts(link, slope_data, point, tau).signature
 
 
 def signature_at_full_one(link: ColoredLinkData) -> int:

@@ -20,14 +20,14 @@ canonical representative: shift so the minimal exponent of every variable is
 zero, then fix the sign so the lexicographically smallest monomial has a
 positive coefficient.
 
-Evaluation on the torus substitutes roots of unity.  eval_at does it for one
-point.  eval_family does it for several polynomials at the integer
-numerators of a group of points over one denominator: the exponent sums of
-their distinct monomials are one integer matrix product, the roots one
-table (torus.unit_roots), and each polynomial is summed from the table in
-its own term order.  eval_numerators is eval_family of one polynomial, and
-eval_many evaluates it on each group of torus.denominator_groups.  Every
-path gives eval_at's values bit for bit.
+Evaluation on the torus substitutes roots of unity, t_i -> omega_i.
+eval_family does it for several polynomials at the integer numerators of a
+group of points over one denominator (a group of torus.denominator_groups):
+the exponent sums of their distinct monomials are one integer matrix
+product, the roots one table (torus.unit_roots), and each polynomial is
+summed from the table in its own term order.  eval_numerators is
+eval_family of one polynomial.  Both give the values of the scalar
+reference eval_at (tests/per_point.py), one point at a time, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidInput, NotDivisible
-from .torus import TorusPoint, denominator_groups, unit_root, unit_roots
+from .torus import unit_roots
 
 Monomial = tuple[int, ...]
 
@@ -206,31 +206,6 @@ def _float_coefficient(c: int) -> float:
         raise InvalidInput(f"a coefficient of {c.bit_length()} bits does not fit a float") from None
 
 
-def eval_at(p: LaurentPoly, point: TorusPoint) -> complex:
-    """Evaluate at omega on the torus by substituting t_i -> omega_i.
-
-    Exponents act on the exact turns, reduced mod 1, so negative powers are
-    conjugate powers and half-step exponents use the principal half turn
-    omega_i^(1/2) = e^(i*pi*q_i) with q_i in [0, 1).  A coefficient too large
-    for a float raises InvalidInput.
-    """
-    if p.mu != point.mu:
-        raise InvalidInput(f"arity mismatch: poly has mu={p.mu}, point has mu={point.mu}")
-    if p.is_zero():
-        return 0j
-    den = math.lcm(*(q.denominator for q in point.turns))
-    numerators = [q.numerator * (den // q.denominator) for q in point.turns]
-    if p.half_step:
-        den *= 2  # stored exponent k stands for t^(k/2)
-    total = 0j
-    for mono, c in p.terms.items():
-        m = 0
-        for e, n in zip(mono, numerators):
-            m += e * n
-        total += _float_coefficient(c) * unit_root(m % den, den)
-    return total
-
-
 def _monomial_roots(monos: Sequence[Monomial], d: int, half_step: bool, nums: np.ndarray) -> np.ndarray:
     """The (P, T) array of t^e at the points with turns nums / d, one column
     per monomial e: unit_root(e . n mod den, den) with den = d, or 2 * d for
@@ -255,14 +230,18 @@ def _sum_terms(p: LaurentPoly, roots: np.ndarray, cols: Sequence[int]) -> np.nda
 
 
 def eval_numerators(p: LaurentPoly, d: int, nums: np.ndarray) -> np.ndarray:
-    """p at the points whose turns are the rows of nums / d, as in eval_at.
+    """p at the points whose turns are the rows of nums / d.
 
     nums is a (P, mu) integer array, one group of torus.denominator_groups.
-    Every value equals eval_at's bit for bit: the exponent sums are exact
-    integers reduced mod the denominator, the roots come from the same
-    unit_root values, and the terms are multiplied and summed in the same
-    order with the same float operations.  (A matmul or np.sum of the terms
-    would reorder the additions.)
+    Exponents act on the exact turns, reduced mod 1, so negative powers are
+    conjugate powers and half-step exponents use the principal half turn
+    omega_i^(1/2) = e^(i*pi*q_i) with q_i in [0, 1).  A coefficient too large
+    for a float raises InvalidInput.  Every value equals the one the scalar
+    reference eval_at (tests/per_point.py) gives, bit for bit: the exponent
+    sums are exact integers reduced mod the denominator, the roots come from
+    the same unit_root values, and the terms are multiplied and summed in
+    the same order with the same float operations.  (A matmul or np.sum of
+    the terms would reorder the additions.)
     """
     return next(eval_family([p], d, nums))
 
@@ -284,19 +263,6 @@ def eval_family(polys: Sequence[LaurentPoly], d: int, nums: np.ndarray) -> Itera
     roots = _monomial_roots(list(column), d, True in steps, nums)
     for p in polys:
         yield _sum_terms(p, roots, [column[mono] for mono in p.terms])
-
-
-def eval_many(p: LaurentPoly, points: Sequence[TorusPoint]) -> np.ndarray:
-    """eval_at at every point, as one complex128 array with identical values."""
-    groups = denominator_groups(points)
-    for _, _, nums in groups:
-        if nums.shape[1] != p.mu:
-            raise InvalidInput(f"arity mismatch: poly has mu={p.mu}, point has mu={nums.shape[1]}")
-    out = np.zeros(len(points), dtype=np.complex128)
-    if not p.is_zero():
-        for d, rows, nums in groups:
-            out[rows] = eval_numerators(p, d, nums)
-    return out
 
 
 # -- unit normalization ------------------------------------------------------

@@ -5,10 +5,10 @@ samples come back in the order of the points, as the columns of a Sweep:
 sigma and eta, a source code, certified, the certification margin min_gap,
 and sparse per-row flags.  Which values are NA follows from the source: a
 Skipped row has no sigma, and only an Interior row has an eta.  A Lattice
-stays a Lattice in the Sweep and is never expanded into points; sample_map
-is the view sweep(...).records(), one SampleRecord per point.  The writers,
-the reports and the uncertain-sample rule (Sweep.uncertain) read the
-columns; given a list of records, they turn it into a Sweep first.  The
+stays a Lattice in the Sweep and is never expanded into points;
+Sweep.records() gives one SampleRecord per point.  The writers, the reports
+and the uncertain-sample rule (Sweep.uncertain) read the columns; given a
+list of records, they turn it into a Sweep first.  The
 CSV and JSON are written in runs of rows that share their leading turns
 (torus.rows_text), from one string per distinct turn of each denominator
 group and one tail per distinct (sigma, eta, source, certified): for JSON,
@@ -49,10 +49,10 @@ checked once per sweep.  Faces are computable in two cases: one color
 coordinate equal to 1 with matching slope data.  Other faces are Skipped.
 Every row is written by its batch: a row the batch rejects (a non-finite
 form, an ambiguous or non-real slope, a failed solver) is Skipped and flagged
-EvaluationError with the exception the one-point functions raise on it,
-named from the batch's own arrays.  The distinguished-coordinate faces when
-the link-level face hypotheses fail, and points of another arity than the
-link's, are InvalidInput errors.
+EvaluationError with the exception that the per-point reference
+(tests/per_point.py) raises on it, named from the batch's own arrays.  The
+distinguished-coordinate faces when the link-level face hypotheses fail,
+and points of another arity than the link's, are InvalidInput errors.
 """
 
 from __future__ import annotations
@@ -325,14 +325,15 @@ def _evaluate_rows(link: ColoredLinkData, slope_data: SlopeData | None, faces_ho
         h, scale = hermitian_forms(slope_data.base, coef)
         sigma, _, certified, ok, min_gap = inertia_many(h, scale, tau)
         sign, infinite, error = slope_signs(slope_data, coef, tau)
-        error[~ok] = "EigensolverFailure"  # face_parts evaluates the sublink form first, as above
+        # the per-point reference (tests/per_point.py) evaluates the sublink form first, as above
+        error[~ok] = "EigensolverFailure"
         ok = error == ""
         face = rows[at_dist]
         out._put(face[ok], SOURCE_FACE, (sigma + sign)[ok], None, certified[ok], min_gap[ok])
         out._flag(face[ok & infinite], (FLAG_INFINITE_SLOPE,))
         for name in set(error[~ok].tolist()):
             out._fail(face[error == name], name)
-    elif at_dist.any():  # face_parts checks the face hypotheses first
+    elif at_dist.any():  # the per-point reference checks the face hypotheses first
         out._fail(rows[at_dist], "InvalidInput")
     unavailable = rows[(count == 1) & ~at_dist]
     out._put(unavailable, SOURCE_SKIPPED)
@@ -376,13 +377,6 @@ def sweep(link: ColoredLinkData, points: Iterable[TorusPoint],
         out._copy_to_conjugates(conjugate)
     out._fail(np.flatnonzero(out.source < 0), "InvalidInput")  # the points of another arity
     return out
-
-
-def sample_map(link: ColoredLinkData, points: Iterable[TorusPoint],
-               slope_data: SlopeData | None = None, tau: float = DEFAULT_TAU) -> list[SampleRecord]:
-    """Evaluate signature/nullity over the given points, in their order: the
-    records of sweep."""
-    return sweep(link, points, slope_data, tau).records()
 
 
 def constancy_check(link: ColoredLinkData, hosokawa_poly: LaurentPoly, n: int,

@@ -10,32 +10,31 @@ classify sorts a whole sequence of samples into strata and returns the
 result as numpy columns (Strata): the index, whether the sample is
 Uncertain, and how many coordinates equal 1, counted from the numerators.
 A Lattice (ideals --classify sweeps lattice(n, mu)[1:]) is never expanded
-into points; stratum_indices and stratum_index are views that build one
-StratumReport per sample.  Samples that share the arity and the common
-denominator d of their turns form one group with integer numerators
+into points.  Samples that share the arity and the common denominator d of
+their turns form one group with integer numerators
 (torus.denominator_groups, which keeps a lattice one group); per group and
 per elementary ideal E_r, r = 1, 2, ..., the exponent sums of the distinct
 monomials of the ideal's nonzero generators are one integer matrix product
 and their roots one table (laurent.eval_family), each generator is summed
 from that table and compared with its cut, and a sample drops out at its
 first non-vanishing ideal.  The classification is the one a per-sample loop
-over vanishes_at would give, bit for bit: the exponent sums are exact
-integers, the roots are the same unit_root values, the terms are summed in
-the same order, and magnitudes come from np.hypot, which rounds as
-abs(complex) does.  A sample is flagged Uncertain when a magnitude it was
-classified by lies in the uncertain band of its cut, the band that also
-decides the certification of inertia (hermitian.in_uncertain_band).  Of
-generators whose terms agree in order up to a global sign, only the first is
-evaluated; the others would give the same magnitudes bit for bit.  The
-ideals CSV (strata_to_csv) is written from the columns in runs of rows that
-share their leading turns (torus.csv_lines): one string per distinct turn
-and one tail per (index, predicted, flags).
+over the reference vanishes_at (tests/per_point.py) gives, bit for bit: the
+exponent sums are exact integers, the roots are the same unit_root values,
+the terms are summed in the same order, and magnitudes come from np.hypot,
+which rounds as abs(complex) does.  A sample is flagged Uncertain when a
+magnitude it was classified by lies in the uncertain band of its cut, the
+band that also decides the certification of inertia
+(hermitian.in_uncertain_band).  Of generators whose terms agree in order up
+to a global sign, only the first is evaluated; the others would give the
+same magnitudes bit for bit.  The ideals CSV (strata_to_csv) is written
+from the columns in runs of rows that share their leading turns
+(torus.csv_lines): one string per distinct turn and one tail per (index,
+predicted, flags).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
@@ -44,7 +43,7 @@ import numpy as np
 from .clink import malformed_record, strict_int
 from .errors import BasePoint, InvalidInput
 from .hermitian import in_uncertain_band
-from .laurent import LaurentPoly, eval_at, eval_family, format_poly, gcd_many, parse_poly, unit_normalize
+from .laurent import LaurentPoly, eval_family, format_poly, gcd_many, parse_poly, unit_normalize
 from .torus import TorusPoint, csv_lines, denominator_groups
 
 DEFAULT_TAU_POLY = 1e-8
@@ -135,10 +134,6 @@ class PresentationMatrix:
         return gens
 
 
-def elementary_ideal(p: PresentationMatrix, r: int) -> tuple[LaurentPoly, ...]:
-    return p.elementary_ideal(r)
-
-
 def first_ideal_gcd(p: PresentationMatrix) -> LaurentPoly:
     """gcd of the generators of E_1, unit-normalized; zero ideal gives 0."""
     gens = [g for g in p.elementary_ideal(1) if not g.is_zero()]
@@ -155,24 +150,6 @@ def _vanishing_cut(g: LaurentPoly, tau_poly: float) -> float:
         raise InvalidInput("a generator's coefficient mass does not fit a float") from None
 
 
-def vanishes_at(gens, point: TorusPoint, tau_poly: float = DEFAULT_TAU_POLY) -> bool:
-    """Whether every generator vanishes at omega, relative to coefficient mass."""
-    for g in gens:
-        if g.is_zero():
-            continue
-        if abs(eval_at(g, point)) > _vanishing_cut(g, tau_poly):
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class StratumReport:
-    point: TorusPoint
-    index: int
-    predicted_nullity: int | None
-    flags: frozenset[str]
-
-
 class Strata(NamedTuple):
     """The classification of a point sequence, one row per point, as columns.
 
@@ -187,19 +164,6 @@ class Strata(NamedTuple):
     index: np.ndarray
     uncertain: np.ndarray
     ones: np.ndarray
-
-    def reports(self) -> list[StratumReport]:
-        """One StratumReport per point, in order."""
-        reports = []
-        rows = zip(self.points, self.index.tolist(), self.uncertain.tolist(), self.ones.tolist())
-        for pt, i, unsure, ones in rows:
-            flags = {FLAG_UNCERTAIN} if unsure else set()
-            predicted = i
-            if ones > 2:
-                flags.add(FLAG_MORE_THAN_TWO_ONES)
-                predicted = None
-            reports.append(StratumReport(pt, i, predicted, frozenset(flags)))
-        return reports
 
 
 def _distinct_up_to_sign(gens: Sequence[LaurentPoly]) -> list[LaurentPoly]:
@@ -221,10 +185,11 @@ def classify(p: PresentationMatrix, points: Sequence[TorusPoint],
              tau_poly: float = DEFAULT_TAU_POLY) -> Strata:
     """The largest r whose elementary ideal vanishes at each sample, as columns.
 
-    Index r >= 1 needs every nonzero generator of E_1, ..., E_r to vanish
-    (vanishes_at); a sample is flagged Uncertain when a generator of one of
-    those ideals, or of the first that does not vanish, has |value| in the
-    uncertain band of its cut (hermitian.in_uncertain_band).  A point of
+    Index r >= 1 needs every nonzero generator of E_1, ..., E_r to vanish:
+    |value| at most tau_poly * (1 + coefficient mass).  A sample is flagged
+    Uncertain when a generator of one of those ideals, or of the first that
+    does not vanish, has |value| in the uncertain band of its cut
+    (hermitian.in_uncertain_band).  A point of
     another arity is an InvalidInput error and the base point a BasePoint
     error, both checked from the numerators of the denominator groups; the
     first offending point decides.  The samples are classified in batches,
@@ -263,18 +228,6 @@ def classify(p: PresentationMatrix, points: Sequence[TorusPoint],
             if not len(live):
                 break
     return Strata(points, index, uncertain, ones)
-
-
-def stratum_indices(p: PresentationMatrix, points: Sequence[TorusPoint],
-                    tau_poly: float = DEFAULT_TAU_POLY) -> list[StratumReport]:
-    """classify's rows as StratumReports, in order."""
-    return classify(p, points, tau_poly).reports()
-
-
-def stratum_index(p: PresentationMatrix, point: TorusPoint,
-                  tau_poly: float = DEFAULT_TAU_POLY) -> StratumReport:
-    """stratum_indices at one sample."""
-    return stratum_indices(p, [point], tau_poly)[0]
 
 
 def _csv_tail(code: int) -> str:

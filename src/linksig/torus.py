@@ -15,15 +15,14 @@ arity and by the common denominator d of its turns (a lattice is one
 group), and every batched consumer reads the groups.  Evaluation reads
 unit_root(k, d) for integer arrays of k from a table of the distinct k
 (unit_roots).  The distinct k of an int64 array no shorter than d are
-marked in a d-long table, with no sort (map_keys, index_keys).  Text is
+marked in a d-long table, with no sort (unit_roots, index_keys).  Text is
 built the same way for every sequence, each distinct k formatted once per
-group: turn_strings gives the table of turn strings, and rows_text (and
-csv_lines, its CSV case) writes rows in runs that share every numerator but
-the last, one string per run's head and per distinct (last turn, tail), so
-a whole lattice costs one join per n - start rows.  A whole
-lattice with start <= 1 is closed under conjugation, and
-conjugate_positions gives each point's conjugate from the same index
-arithmetic.
+group: rows_text (and csv_lines, its CSV case) writes rows in runs that
+share every numerator but the last, one string per run's head and per
+distinct (last turn, tail), so a whole lattice costs one join per
+n - start rows.  A whole lattice with start <= 1 is closed under
+conjugation, and conjugate_positions gives each point's conjugate from the
+same index arithmetic.
 """
 
 from __future__ import annotations
@@ -73,32 +72,24 @@ def unit_root(num: int, den: int) -> complex:
     return z
 
 
-def map_keys(ks: np.ndarray, den: int, value: Callable[[int], object], dtype) -> np.ndarray:
-    """value(k) for every entry k of an integer array, 0 <= k < den, as an
-    array of ks's shape, calling value once per distinct k.
+def unit_roots(ks: np.ndarray, den: int) -> np.ndarray:
+    """unit_root(k, den) for every entry k of an integer array, 0 <= k < den,
+    as a complex128 array of ks's shape, calling unit_root once per distinct
+    k, so each value is the one unit_root returns.
 
     An int64 array with den <= ks.size marks its keys in a den-long table
-    and reads the values from a den-long table, with no sort; any other
+    and reads the roots from a den-long table, with no sort; any other
     array goes through np.unique.
     """
     if ks.dtype == np.int64 and den <= ks.size:
         present = np.zeros(den, dtype=bool)
         present[ks] = True
         keys = np.flatnonzero(present)
-        table = np.zeros(den, dtype=dtype)
-        table[keys] = [value(k) for k in keys.tolist()]
+        table = np.zeros(den, dtype=np.complex128)
+        table[keys] = [unit_root(k, den) for k in keys.tolist()]
         return table[ks]
     keys, inv = np.unique(ks, return_inverse=True)
-    return np.array([value(k) for k in keys.tolist()], dtype=dtype)[inv.reshape(ks.shape)]
-
-
-def unit_roots(ks: np.ndarray, den: int) -> np.ndarray:
-    """unit_root(k, den) for every entry k of an integer array, 0 <= k < den.
-
-    Each value is the one unit_root returns, read from a table of the
-    distinct entries (map_keys).
-    """
-    return map_keys(ks, den, lambda k: unit_root(k, den), np.complex128)
+    return np.array([unit_root(k, den) for k in keys.tolist()], dtype=np.complex128)[inv.reshape(ks.shape)]
 
 
 # Python's default limit on int-from-string conversion, which parse_poly enforces too
@@ -297,23 +288,11 @@ class Lattice(Sequence[TorusPoint]):
         return positions.reshape(-1)
 
 
-def turn_strings(points: Sequence[TorusPoint]) -> np.ndarray:
-    """The (P, w) object array of the points' turn strings, w the largest
-    arity, "" after the turns of a shorter point; each distinct numerator k
-    of a denominator group is formatted once, as str(Fraction(k, d))."""
-    groups = denominator_groups(points)
-    table = np.empty((len(points), max((nums.shape[1] for _, _, nums in groups), default=0)), dtype=object)
-    for d, rows, nums in groups:
-        table[rows, :nums.shape[1]] = map_keys(nums, d, lambda k: str(Fraction(k, d)), object)
-        table[rows, nums.shape[1]:] = ""
-    return table
-
-
 def index_keys(ks: np.ndarray, den: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct entries of an integer array, ascending, and the position
     of each entry among them (an int64 array of ks's shape), 0 <= k < den.
 
-    As in map_keys, an int64 array with den <= ks.size marks its keys in a
+    As in unit_roots, an int64 array with den <= ks.size marks its keys in a
     den-long table, with no sort; any other array goes through np.unique.
     """
     if ks.dtype == np.int64 and den <= ks.size:

@@ -15,11 +15,12 @@ import numpy as np
 
 import linksig as ls
 from linksig.catalog import get, list_keys, ln_face_sigma, ln_slope_value, t24_sigma
-from linksig.clink import ColoredLinkData, hermitian_with_scale
-from linksig.strata import FLAG_MORE_THAN_TWO_ONES
+from linksig.clink import ColoredLinkData, hermitian_forms
+from linksig.strata import FLAG_MORE_THAN_TWO_ONES, strata_to_csv
 from linksig.torus import TorusPoint
 
 from conftest import random_hermitian, random_point, random_poly, random_turn
+from per_point import coefficients, eval_at, vanishes_at
 
 
 @contextmanager
@@ -40,7 +41,7 @@ def test_criterion_01_ln_interior_map():
     with criterion(1, "brunnian family interior map N=24", 30):
         for n in (1, 2, 3):
             entry = get(f"l({n})")
-            records = ls.sample_map(entry.link, ls.grid(24, 3))
+            records = ls.sweep(entry.link, ls.grid(24, 3)).records()
             assert len(records) == 23**3
             for rec in records:
                 assert rec.certified
@@ -66,11 +67,9 @@ def test_criterion_03_ln_face_signature():
     with criterion(3, "face signature grid and obstruction", 10):
         entry = get("l(1)")
         n = 16
-        for k1 in range(1, n):
-            for k2 in range(1, n):
-                pt = TorusPoint.of(0, Fraction(k1, n), Fraction(k2, n))
-                sig = ls.face_signature(entry.link, entry.slope, pt)
-                assert sig == ln_face_sigma(pt.drop(1))
+        points = [TorusPoint.of(0, Fraction(k1, n), Fraction(k2, n)) for k1 in range(1, n) for k2 in range(1, n)]
+        result = ls.sweep(entry.link, points, entry.slope)
+        assert [rec.sigma for rec in result.records()] == [ln_face_sigma(pt.drop(1)) for pt in points]
         report = ls.concordance_report(entry.link, entry.slope, 2, 2)
         assert report.verdict == "Obstructed"
         witness = TorusPoint.of(0, Fraction(1, 4), Fraction(1, 4))
@@ -122,7 +121,7 @@ def test_criterion_05_t24_map_and_heatmap():
     with criterion(5, "torus link map N=40 with heatmap", 30):
         entry = get("t24")
         n = 40
-        records = ls.sample_map(entry.link, ls.grid(n, 2))
+        records = ls.sweep(entry.link, ls.grid(n, 2)).records()
         assert all(rec.certified for rec in records)
         for rec in records:
             assert rec.sigma == t24_sigma(rec.point)
@@ -153,11 +152,9 @@ def test_criterion_06_mirror_property():
             if entry.kind != "full":
                 continue
             link = entry.link
-            mirrored = ls.mirror(link)
-            for _ in range(100):
-                pt = random_point(rng, link.mu)
-                h, scale = hermitian_with_scale(link, pt)
-                hm, scale_m = hermitian_with_scale(mirrored, pt)
+            points = [random_point(rng, link.mu) for _ in range(100)]
+            coef = coefficients(points)
+            for h, scale, hm, scale_m in zip(*hermitian_forms(link, coef), *hermitian_forms(ls.mirror(link), coef)):
                 r = ls.inertia(h, scale=scale)
                 rm = ls.inertia(hm, scale=scale_m)
                 if not (r.certified and rm.certified):
@@ -182,24 +179,22 @@ def test_criterion_07_aug4_strata():
             i, j = rng.sample(range(4), 2)
             turns[i] = turns[j] = Fraction(0)
             samples.append(TorusPoint(tuple(turns)))
-        for pt in samples:
-            rep = ls.stratum_index(pres, pt)
-            assert rep.index == 1
-            assert rep.predicted_nullity == 1
+        # index 1 everywhere, which predicts nullity 1 where at most two coordinates are 1
+        result = ls.classify(pres, samples)
+        assert (result.index == 1).all() and (result.ones <= 2).all()
         e2 = pres.elementary_ideal(2)
         for _ in range(50):
             pt = random_point(rng, 4)
-            assert not ls.vanishes_at(e2, pt)
-        rep = ls.stratum_index(pres, TorusPoint.of(0, 0, 0, Fraction(1, 3)))
-        assert rep.index == 1
-        assert rep.predicted_nullity is None
-        assert FLAG_MORE_THAN_TWO_ONES in rep.flags
+            assert not vanishes_at(e2, pt)
+        result = ls.classify(pres, [TorusPoint.of(0, 0, 0, Fraction(1, 3))])
+        assert result.index.tolist() == [1] and result.ones.tolist() == [3]  # no prediction
+        assert strata_to_csv(result, 4).endswith(f",1,NA,{FLAG_MORE_THAN_TWO_ONES}\n")
 
 
 def test_criterion_08_mu1_circle():
     with criterion(8, "one-color circle behavior", 5):
         hopf = get("hopf1").link
-        records = ls.sample_map(hopf, ls.grid(24, 1, include_faces=True))
+        records = ls.sweep(hopf, ls.grid(24, 1, include_faces=True)).records()
         assert len(records) == 24
         assert all(rec.sigma == -1 for rec in records)
         assert all(rec.certified for rec in records)
@@ -271,8 +266,8 @@ def test_criterion_09_property_suites():
             a = random_poly(rng, mu, max_terms=5, exp_range=(-8, 8), coeff_range=(-100, 100))
             b = random_poly(rng, mu, max_terms=5, exp_range=(-8, 8), coeff_range=(-100, 100))
             pt = random_point(rng, mu, interior=False)
-            va, vb = ls.eval_at(a, pt), ls.eval_at(b, pt)
-            assert abs(ls.eval_at(a * b, pt) - va * vb) <= 1e-10 * (1 + abs(va)) * (1 + abs(vb))
+            va, vb = eval_at(a, pt), eval_at(b, pt)
+            assert abs(eval_at(a * b, pt) - va * vb) <= 1e-10 * (1 + abs(va)) * (1 + abs(vb))
 
 
 def test_criterion_10_cli_determinism(tmp_path):

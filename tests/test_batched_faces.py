@@ -1,4 +1,4 @@
-"""The batched face path of sample_map against the per-point path."""
+"""The batched face path of sweep against the per-point path."""
 
 import random
 from collections import Counter
@@ -7,19 +7,19 @@ from dataclasses import replace
 import numpy as np
 
 from linksig.catalog import get
-from linksig.clink import SlopeData, mirror, slope_matrix_at
+from linksig.clink import SlopeData, mirror, slope_matrices
 from linksig.hermitian import DEFAULT_TAU, NoSolution, solve
 from linksig.sampler import (
     FLAG_INFINITE_SLOPE,
     SOURCE_FACE,
     _CHUNK_POINTS,
     grid,
-    sample_map,
+    sweep,
     tbang_points,
 )
 from linksig.torus import TorusPoint
 
-from per_point import _evaluate_point
+from per_point import _evaluate_point, coefficients
 from test_batched_sweep import _random_link
 
 
@@ -43,12 +43,12 @@ def _random_slope_data(rng: random.Random, mu: int) -> SlopeData:
 
 
 def _face_kind(slope_data: SlopeData, point: TorusPoint, tau: float) -> str:
-    e = slope_matrix_at(slope_data, point.drop(slope_data.distinguished_color))
+    [e] = slope_matrices(slope_data, coefficients([point.drop(slope_data.distinguished_color)]))
     return type(solve(e, np.array(slope_data.k_class, dtype=complex), tau)).__name__
 
 
 def _compare(link, slope_data, points, tau, seen: Counter) -> None:
-    records = sample_map(link, points, slope_data, tau)
+    records = sweep(link, points, slope_data, tau).records()
     assert [rec.point for rec in records] == list(points)
     for rec in records:
         assert rec == _evaluate_point(link, slope_data, rec.point, tau), rec
@@ -114,7 +114,8 @@ def test_mirror_negates_every_certified_signature():
     for link, slope_data, n in cases:
         mirrored = SlopeData(mirror(slope_data.base), slope_data.k_class, slope_data.distinguished_color)
         points = grid(n, link.mu, include_faces=True)
-        for rec, rec_m in zip(sample_map(link, points, slope_data), sample_map(mirror(link), points, mirrored)):
+        records = sweep(link, points, slope_data).records()
+        for rec, rec_m in zip(records, sweep(mirror(link), points, mirrored).records()):
             assert (rec.source, rec.eta, rec.flags) == (rec_m.source, rec_m.eta, rec_m.flags), rec
             if rec.certified and rec_m.certified and rec.sigma is not None:
                 assert rec_m.sigma == -rec.sigma, rec

@@ -12,12 +12,9 @@ from linksig.clink import (
     ColoredLinkData,
     SlopeData,
     hermitian_forms,
-    hermitian_with_scale,
     numerator_coefficients,
-    seifert_coefficients,
     sign_vectors,
     slope_matrices,
-    slope_matrix_at,
 )
 from linksig.hermitian import DEFAULT_TAU, exact_symmetric_inertia, inertia_many
 from linksig.sampler import (
@@ -27,13 +24,12 @@ from linksig.sampler import (
     _CHUNK_POINTS,
     grid,
     records_to_csv,
-    sample_map,
     sweep,
     tbang_points,
 )
 from linksig.torus import TorusPoint, denominator_groups, lattice
 
-from per_point import _evaluate_point
+from per_point import _evaluate_point, coefficients
 
 # omega = e^(2 pi i q) as a Gaussian integer (re, im) for the quarter turns
 _QUARTER = {Fraction(1, 4): (0, 1), Fraction(1, 2): (-1, 0), Fraction(3, 4): (0, -1)}
@@ -96,7 +92,7 @@ def test_batched_matches_exact_gaussian_oracle():
     for mu, g, zero, checked in ((1, 20, 2, 3), (2, 8, 0, 9), (2, 30, 6, 3), (3, 10, 2, 27)):
         link = _random_link(rng, mu, g, zero)
         points = [TorusPoint(ks) for ks in product(sorted(_QUARTER), repeat=mu)]
-        records = sample_map(link, points)
+        records = sweep(link, points).records()
         for rec in rng.sample(records, checked):
             sigma, eta = _exact_pair(link, rec.point)
             assert rec.source == SOURCE_INTERIOR and rec.certified, rec
@@ -111,7 +107,7 @@ def test_batched_matches_per_point_on_mixed_list():
     points += [TorusPoint.of(Fraction(1, 7), Fraction(2, 5), Fraction(3, 11)), TorusPoint.of(Fraction(1, 2))]
     random.Random(99).shuffle(points)
     assert len(points) > _CHUNK_POINTS
-    records = sample_map(entry.link, iter(points), entry.slope)
+    records = sweep(entry.link, iter(points), entry.slope).records()
     assert [rec.point for rec in records] == points
     sources = {rec.source for rec in records}
     assert {"Interior", "Face", "Skipped"} <= sources
@@ -123,7 +119,7 @@ def test_nonfinite_forms_stay_errors():
     link = get("l(1)").link
     huge = replace(link, seifert={eps: tuple(tuple(5 * 10**307 * x for x in row) for row in m)
                                   for eps, m in link.seifert.items()})
-    records = sample_map(huge, grid(5, 3))
+    records = sweep(huge, grid(5, 3)).records()
     assert all(rec.source == SOURCE_SKIPPED and not rec.certified for rec in records)
     assert all(rec.flags[0] == FLAG_ERROR for rec in records)
     rows = records_to_csv(records, 3).splitlines()[1:]
@@ -131,7 +127,7 @@ def test_nonfinite_forms_stay_errors():
     # at 1e307 some forms are still finite; those must carry the true (0, 0)
     big = replace(huge, seifert={eps: tuple(tuple(10**307 * x for x in row) for row in m)
                                  for eps, m in link.seifert.items()})
-    for rec in sample_map(big, grid(12, 3)):
+    for rec in sweep(big, grid(12, 3)).records():
         assert rec.source == SOURCE_SKIPPED or (rec.sigma, rec.eta, rec.certified) == (0, 0, True)
 
 
@@ -142,9 +138,10 @@ def _same(a, b) -> bool:
 
 
 def _check_chunks(link: ColoredLinkData, slope_data: SlopeData | None, points) -> int:
-    """Check that every point's one-point form, scale and (off the faces)
-    slope matrix are the rows of the batch kernels, for chunks of several
-    sizes and offsets of every denominator group; returns the rows checked."""
+    """Check that every point's form, scale and (off the faces) slope matrix
+    on a stack of one, from its own denominator, are the rows of the batch
+    kernels, for chunks of several sizes and offsets of every denominator
+    group; returns the rows checked."""
     checked = set()
     for d, rows, nums in denominator_groups(points):
         rows = np.asarray(rows)
@@ -155,10 +152,11 @@ def _check_chunks(link: ColoredLinkData, slope_data: SlopeData | None, points) -
                 inner = (nums[b:b + size] != 0).all(axis=1)
                 e = slope_matrices(slope_data, coef) if slope_data is not None and inner.any() else None
                 for r, i in enumerate(rows[b:b + size].tolist()):
-                    form, form_scale = hermitian_with_scale(link, points[i])
-                    assert _same(form, h[r]) and form_scale == scale[r], points[i]
+                    alone = coefficients([points[i]])
+                    form, form_scale = hermitian_forms(link, alone)
+                    assert _same(form[0], h[r]) and form_scale[0] == scale[r], points[i]
                     if e is not None and inner[r]:
-                        assert _same(slope_matrix_at(slope_data, points[i]), e[r]), points[i]
+                        assert _same(slope_matrices(slope_data, alone)[0], e[r]), points[i]
                     checked.add(i)
     return len(checked)
 
@@ -184,7 +182,7 @@ def test_one_point_forms_are_rows_of_every_batch():
         rejected = {eps: ((10**308, *m[0][1:]), *m[1:]) for eps, m in link.seifert.items()}
         scaled = ColoredLinkData(link.name + "-scaled", mu, link.components, {}, g=g, seifert=rejected)
         grid_points = lattice(n, mu)
-        ok = inertia_many(*hermitian_forms(scaled, seifert_coefficients(mu, list(grid_points))), DEFAULT_TAU)[3]
+        ok = inertia_many(*hermitian_forms(scaled, coefficients(list(grid_points))), DEFAULT_TAU)[3]
         assert ok.any() and not ok.all()
         mixed = list(lattice(n + 1, mu)[::3]) + list(tbang_points(2, 2, mu))
         mixed += [TorusPoint(tuple(Fraction(rng.randint(0, den - 1), den) for den in

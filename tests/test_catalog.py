@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from linksig.catalog import get, list_keys, ln_slope_value, t24_sigma
-from linksig.clink import hermitian_with_scale
+from linksig.clink import hermitian_forms
 from linksig.errors import BasePoint, UnknownKey
 from linksig.hermitian import inertia
 from linksig.invariants import hosokawa
@@ -14,6 +14,7 @@ from linksig.sampler import grid
 from linksig.torus import TorusPoint
 
 from conftest import random_point
+from per_point import coefficients
 
 
 def test_keys_and_unknown():
@@ -44,9 +45,8 @@ def test_hopf1_matrix_oracle(rng):
     det = LaurentPoly.const(a[0][0], 1) - t * LaurentPoly.const(a[0][0], 1)
     assert eq_up_to_units(det, parse_poly("t - 1"))
     # oracle 2: H(w) = 2(1 - Re w) A, so the signature is -1 on the circle
-    for _ in range(100):
-        pt = random_point(rng, 1)
-        h, scale = hermitian_with_scale(entry.link, pt)
+    points = [random_point(rng, 1) for _ in range(100)]
+    for pt, h, scale in zip(points, *hermitian_forms(entry.link, coefficients(points))):
         w = pt.coordinate(1)
         assert abs(h[0, 0] - 2 * (1 - w.real) * a[0][0]) < 1e-12 * max(1, scale)
         assert inertia(h, scale=scale).signature == -1
@@ -55,8 +55,8 @@ def test_hopf1_matrix_oracle(rng):
 def test_t24_matrix_oracle(rng):
     """Shipped matrices reproduce the closed form and the nullity jump."""
     entry = get("t24")
-    for pt in grid(24, 2):
-        h, scale = hermitian_with_scale(entry.link, pt)
+    points = grid(24, 2)
+    for pt, h, scale in zip(points, *hermitian_forms(entry.link, coefficients(points))):
         w1, w2 = pt.coordinates()
         closed = -2 * ((w1 - 1) * (w2 - 1)).real
         assert abs(h[0, 0] - closed) < 1e-12 * max(1, scale)
@@ -72,9 +72,8 @@ def test_ln_entry_consistency(rng):
         entry = get(f"l({n})")
         assert entry.slope.distinguished_color == 1
         assert entry.slope.base.g == 4
-        for _ in range(30):
-            pt = random_point(rng, 3)
-            h, scale = hermitian_with_scale(entry.link, pt)
+        points = [random_point(rng, 3) for _ in range(30)]
+        for h, scale in zip(*hermitian_forms(entry.link, coefficients(points))):
             res = inertia(h, scale=scale)
             assert res.pair == (0, 0) and res.certified
 

@@ -15,7 +15,7 @@ from linksig.catalog import get
 from linksig.cli import main
 from linksig.clink import load_link, load_slope, slope_from_dict
 from linksig.hermitian import MAX_TAU
-from linksig.sampler import FLAG_ERROR, concordance_report, grid, records_to_csv, sample_map, sweep, tbang_points
+from linksig.sampler import FLAG_ERROR, concordance_report, grid, records_to_csv, sweep, tbang_points
 
 
 @pytest.fixture
@@ -416,7 +416,7 @@ def test_report_exits_4_on_samples_that_failed(exported):
     assert proc.stdout == "INCONCLUSIVE\nsamples=729 uncertain=0\n"
     assert proc.stderr == ("numerical failure: 16 of 729 samples failed to evaluate; "
                            "the first at (0, 1/3, 1/3): EigensolverFailure\n")
-    records = sample_map(load_link(exported["link"]), tbang_points(3, 2, 3), load_slope(str(path)))
+    records = sweep(load_link(exported["link"]), tbang_points(3, 2, 3), load_slope(str(path))).records()
     failed = [rec for rec in records if rec.flags[:1] == (FLAG_ERROR,)]
     assert len(failed) == 16 and str(failed[0].point) == "(0, 1/3, 1/3)"
     assert all(rec.flags == (FLAG_ERROR, "EigensolverFailure") for rec in failed)

@@ -10,20 +10,16 @@ from linksig.catalog import get, list_keys
 from linksig.clink import (
     ColoredLinkData,
     SlopeData,
-    hermitian_at,
     hermitian_forms,
-    hermitian_with_scale,
     link_from_dict,
     link_to_dict,
     mirror,
     nu_exponents,
     numerator_coefficients,
-    seifert_coefficients,
     seifert_framed_linking_matrix,
     sign_vectors,
     slope_from_dict,
     slope_matrices,
-    slope_matrix_at,
     slope_to_dict,
 )
 from linksig.errors import (
@@ -34,9 +30,12 @@ from linksig.errors import (
     Mu1Only,
 )
 from linksig.hermitian import exact_symmetric_inertia, inertia
+from linksig.invariants import slope
+from linksig.sampler import FLAG_ERROR, sweep
 from linksig.torus import TorusPoint, unit_root
 
 from conftest import random_point
+from per_point import coefficients
 from test_batched_sweep import _random_link
 
 
@@ -44,37 +43,41 @@ def full_entries():
     return [get(k) for k in list_keys() if get(k).kind == "full"]
 
 
+def forms(link, points):
+    """hermitian_forms at the points, each evaluated in its denominator group."""
+    return hermitian_forms(link, coefficients(points))
+
+
 def test_hermitian_at_worked_values():
     ln = get("l(1)").link
-    h = hermitian_at(ln, TorusPoint.of(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)))
+    [h] = forms(ln, [TorusPoint.of(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))])[0]
     assert np.allclose(h, [[0, 64], [64, 0]])
 
     hopf2 = get("hopf2").link
-    h2 = hermitian_at(hopf2, TorusPoint.of(Fraction(1, 3), Fraction(1, 5)))
+    [h2] = forms(hopf2, [TorusPoint.of(Fraction(1, 3), Fraction(1, 5))])[0]
     assert h2.shape == (0, 0)
     assert inertia(h2).pair == (0, 0)
 
     hopf1 = get("hopf1").link
-    h1 = hermitian_at(hopf1, TorusPoint.of(Fraction(1, 2)))
+    [h1] = forms(hopf1, [TorusPoint.of(Fraction(1, 2))])[0]
     assert np.allclose(h1, [[-4.0]])
     assert inertia(h1).pair == (-1, 0)
 
 
 def test_hermitian_at_requires_matching_arity_and_data():
-    ln = get("l(1)").link
-    with pytest.raises(InvalidInput):
-        hermitian_at(ln, TorusPoint.of(Fraction(1, 2)))
+    # a point of another arity is an InvalidInput row of the sweep
+    result = sweep(get("l(1)").link, [TorusPoint.of(Fraction(1, 2))])
+    assert result.flags == {0: (FLAG_ERROR, "InvalidInput")}
     with pytest.raises(MissingSeifertData):
-        hermitian_at(get("whitehead").link, TorusPoint.of(Fraction(1, 3), Fraction(1, 3)))
+        forms(get("whitehead").link, [TorusPoint.of(Fraction(1, 3), Fraction(1, 3))])
 
 
 def test_hermitian_forms_are_hermitian(rng):
     for entry in full_entries():
         link = entry.link
-        for _ in range(250):
-            pt = random_point(rng, link.mu, interior=False)
-            h, _ = hermitian_with_scale(link, pt)
-            assert (h == h.conj().T).all() and not h.diagonal().imag.any()  # bit for bit
+        h, _ = forms(link, [random_point(rng, link.mu, interior=False) for _ in range(250)])
+        assert (h == h.conj().swapaxes(1, 2)).all()  # bit for bit
+        assert not h.diagonal(axis1=1, axis2=2).imag.any()
 
 
 def test_hermitian_form_stacks_are_hermitian_bit_for_bit(nprng):
@@ -83,7 +86,7 @@ def test_hermitian_form_stacks_are_hermitian_bit_for_bit(nprng):
     for mu, g, zero in ((1, 3, 0), (2, 4, 1), (3, 5, 0), (4, 3, 0), (4, 6, 2)):
         link = _random_link(rng, mu, g, zero)
         points = [random_point(rng, mu, interior=False) for _ in range(200)]
-        for coef in (numerator_coefficients(12, nprng.integers(0, 12, (300, mu))), seifert_coefficients(mu, points)):
+        for coef in (numerator_coefficients(12, nprng.integers(0, 12, (300, mu))), coefficients(points)):
             h, scale = hermitian_forms(link, coef)
             assert (h == h.conj().swapaxes(1, 2)).all()
             assert not h.diagonal(axis1=1, axis2=2).imag.any()
@@ -91,13 +94,6 @@ def test_hermitian_form_stacks_are_hermitian_bit_for_bit(nprng):
             full = np.einsum("pe,ejk->pjk", coef, np.array([link.seifert_matrix(eps) for eps in sign_vectors(mu)],
                                                             dtype=float).reshape(-1, g, g))
             assert (np.abs(h - full) <= 1e-13 * scale[:, None, None]).all()
-
-
-def test_seifert_coefficients_refuse_another_arity():
-    with pytest.raises(InvalidInput, match=r"point arity 1 != mu 2"):
-        seifert_coefficients(2, [TorusPoint.of(Fraction(1, 3))])
-    with pytest.raises(InvalidInput, match=r"point arity 3 != mu 2"):
-        seifert_coefficients(2, [TorusPoint.of("1/2", "1/3"), TorusPoint.of("1/2", "1/3", "1/4")])
 
 
 def test_stack_scales_do_not_depend_on_the_stack(nprng):
@@ -122,7 +118,7 @@ def test_seifert_coefficients_huge_denominators():
            TorusPoint.of(Fraction(1, 2**62 + 1), Fraction(1, 3)),
            TorusPoint.of(Fraction(1, 2**70 + 1), Fraction(2, 7)),
            TorusPoint.of(Fraction(1, 3), Fraction(1, 2))]
-    coef = seifert_coefficients(2, pts)
+    coef = coefficients(pts)
     for row, pt in zip(coef.tolist(), pts):
         expected = []
         for eps in sign_vectors(2):
@@ -136,10 +132,10 @@ def test_seifert_coefficients_huge_denominators():
 def test_conjugation_symmetry(rng):
     for entry in full_entries():
         link = entry.link
-        for _ in range(50):
-            pt = random_point(rng, link.mu)
-            h, scale = hermitian_with_scale(link, pt)
-            hc, _ = hermitian_with_scale(link, pt.conjugate())
+        points = [random_point(rng, link.mu) for _ in range(50)]
+        hs, scales = forms(link, points)
+        hcs, _ = forms(link, [pt.conjugate() for pt in points])
+        for h, hc, scale in zip(hs, hcs, scales.tolist()):
             assert np.allclose(hc, h.conj(), atol=1e-12 * max(scale, 1))
             assert inertia(h, scale=scale).pair == inertia(hc, scale=scale).pair
 
@@ -150,10 +146,9 @@ def test_mu1_convention_matches_seifert_form(rng):
     a = np.array([[-1, 1], [0, -1]], dtype=float)
     link = ColoredLinkData("knot", 1, (("K", 1),), {}, g=2,
                            seifert={(1,): tuple(map(tuple, a.astype(int)))})
-    for _ in range(50):
-        pt = random_point(rng, 1)
+    points = [random_point(rng, 1) for _ in range(50)]
+    for pt, h in zip(points, forms(link, points)[0]):
         w = pt.coordinate(1)
-        h = hermitian_at(link, pt)
         ours = (1 - w.conjugate()) * a + (1 - w) * a.T
         other = (1 - w) * a + (1 - w.conjugate()) * a.T
         assert np.allclose(h, ours, atol=1e-12)
@@ -168,11 +163,9 @@ def test_mirror_matrix_level(rng):
     assert mirror(m).linking == ln.linking
     for entry in full_entries():
         link = entry.link
-        mirrored = mirror(link)
-        for _ in range(30):
-            pt = random_point(rng, link.mu)
-            h, scale = hermitian_with_scale(link, pt)
-            hm, _ = hermitian_with_scale(mirrored, pt)
+        points = [random_point(rng, link.mu) for _ in range(30)]
+        hs, scales = forms(link, points)
+        for h, hm, scale in zip(hs, forms(mirror(link), points)[0], scales.tolist()):
             assert np.allclose(hm, -h.conj(), atol=1e-12 * max(scale, 1))
             r, rm = inertia(h, scale=scale), inertia(hm, scale=scale)
             if r.certified and rm.certified:
@@ -184,9 +177,9 @@ def test_mirror_flips_sampled_sigma_mu1(rng):
     hopf = get("hopf1").link
     flipped = mirror(hopf)
     assert flipped.seifert[(1,)] == ((1,),)
-    for _ in range(40):
-        pt = random_point(rng, 1)
-        assert inertia(hermitian_at(flipped, pt)).signature == -inertia(hermitian_at(hopf, pt)).signature
+    points = [random_point(rng, 1) for _ in range(40)]
+    for h, h_flipped in zip(forms(hopf, points)[0], forms(flipped, points)[0]):
+        assert inertia(h_flipped).signature == -inertia(h).signature
 
 
 def test_completion_rule():
@@ -236,7 +229,7 @@ def test_slope_matrix_displayed_entries():
     sd = get("l(1)").slope
     pt = TorusPoint.of(Fraction(1, 4), Fraction(1, 4))
     w1, w2 = pt.coordinates()
-    e = slope_matrix_at(sd, pt)
+    [e] = slope_matrices(sd, coefficients([pt]))
     n = 1
     expected = np.array([
         [0, 1 / (1 - w1.conjugate()), n, 0],
@@ -275,10 +268,8 @@ def test_slope_matrix_reads_cached_arrays_bit_identically(rng):
     slopes = [e.slope for e in full_entries() if e.slope is not None]
     assert slopes
     for sd in slopes:
-        for _ in range(30):
-            pt = random_point(rng, sd.base.mu)
-            e_mat = slope_matrix_at(sd, pt)
-            assert (e_mat == slope_matrices(sd, seifert_coefficients(sd.base.mu, [pt]))[0]).all()
+        points = [random_point(rng, sd.base.mu) for _ in range(30)]
+        for pt, e_mat in zip(points, slope_matrices(sd, coefficients(points))):
             reference, scale = rebuilt(sd, pt)
             assert np.allclose(e_mat, reference, rtol=0, atol=1e-12 * scale)
 
@@ -287,10 +278,10 @@ def test_slope_matrix_corner_cases():
     base = ColoredLinkData("z", 2, (("A", 1), ("B", 2)), {}, g=2,
                            seifert={(1, 1): ((0, 0), (0, 0)), (1, -1): ((0, 0), (0, 0))})
     sd = SlopeData(base, (0, 0), 1)
-    e = slope_matrix_at(sd, TorusPoint.of(Fraction(1, 3), Fraction(2, 5)))
+    [e] = slope_matrices(sd, coefficients([TorusPoint.of(Fraction(1, 3), Fraction(2, 5))]))
     assert np.allclose(e, 0)
     with pytest.raises(CoordinateOne):
-        slope_matrix_at(sd, TorusPoint.of(0, Fraction(1, 3)))
+        slope(sd, TorusPoint.of(0, Fraction(1, 3)))
 
 
 def test_link_json_roundtrip():

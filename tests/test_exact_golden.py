@@ -4,7 +4,9 @@
 indices and predicted nullities; none of their bytes depend on the LAPACK
 build.  Each case pins the exit code, the SHA-256 digest of stdout and the
 literal stderr, so a change in a polynomial's terms, their order, or the
-order evaluation sums them in shows here.
+order evaluation sums them in shows here.  ``slope`` prints one value to 12
+significant digits (or ``inf``); its cases sit at points where the value is
+far from 0, and pin its refusals of a coordinate 1 and of a wrong arity.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ import os
 import pytest
 
 from linksig import catalog
+from linksig.clink import ColoredLinkData, SlopeData, save_slope
 from linksig.cli import main
 
 KEYS = [*catalog.list_keys(), "l(4)"]
@@ -86,7 +89,27 @@ GOLDEN = {
     'classify 8': (0, '175e975befbe2c74ed89fd36751cb3967406886c01ce6af217846fe456e05bcc', ''),
     'classify 11': (0, '673f05a7cf8ccab19d02b603bd20b76360af9e46d383535b885a6214ce079bec', ''),
     'omega 1/3,1/4,0,1/2': (0, '1259b823dab071eb2e9ac0780e6ef3d5793e4dabbc42f113122eeddc128b0fd7', ''),
+    'slope l(1) 1/4,1/4': (0, '7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d', ''),
+    'slope l(1) 1/3,2/5': (0, 'bb0a0765f2d879d56934a01a29e7c4408a6746620becd546aac4c28eeccb2187', ''),
+    'slope l(1) 1/7,5/6': (0, '4924d25e686b72ef02230344c326b35949a65a1eef136e6b2cbc2618ccaae8a5', ''),
+    'slope l(2) 1/4,1/4': (0, 'aa67a169b0bba217aa0aa88a65346920c84c42447c36ba5f7ea65f422c1fe5d8', ''),
+    'slope l(2) 1/3,2/5': (0, 'b5cc3272de7c58b965754b6c04cf2f99044e6039c85c3c9bbb73e3e01ba45419', ''),
+    'slope l(2) 1/7,5/6': (0, '5fa0dac8820219c92724061b63c02c7ff1d0813c6942e2350f19486ff52efb7e', ''),
+    'slope l(3) 1/4,1/4': (0, 'a1fb50e6c86fae1679ef3351296fd6713411a08cf8dd1790a4fd05fae8688164', ''),
+    'slope l(3) 1/3,2/5': (0, '38ab73ad1f5424acdc73cf9aa1ed7d2aa7d482bc3ed966288c5918b7c5463847', ''),
+    'slope l(3) 1/7,5/6': (0, '176c8f0d630b85f380bf1e148f1176f2be519a333fa77d0169e6b5f1d7fd73f0', ''),
+    'slope l(4) 1/4,1/4': (0, 'e6c21e8d260fe71882debdb339d2402a2ca7648529bc2303f48649bce0380017', ''),
+    'slope l(4) 1/3,2/5': (0, 'ae509333fd95a4846d2a3c957f032931bc2181d6590305b039d534be99a278e4', ''),
+    'slope l(4) 1/7,5/6': (0, '5a424da8ae2c0c9781238841e6ed2bf2c951ec4041e577ad1b5721f0e9a231f5', ''),
+    'slope zero 1/3,1/5': (0, 'd574121d0bbf27357c5b4a69bc6f0a958e966fe811c213345d96407395ba9141', ''),
+    'slope l(1) 0,1/4': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: slope matrix undefined: coordinate(s) (1,) equal 1\n'),
+    'slope l(1) 1/4': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'error: point arity 1 != base mu 2\n'),
+    'slope l(2) 1/3,HUGE': (0, 'b5cc3272de7c58b965754b6c04cf2f99044e6039c85c3c9bbb73e3e01ba45419', ''),
 }
+
+# a turn near 2/5 whose common denominator with 1/3 is above 2^63: the
+# coefficients come from object arrays of Python ints
+HUGE_TURN = "7378697629483820647/18446744073709551617"
 
 
 @pytest.fixture(scope="module")
@@ -95,11 +118,19 @@ def export_dir(tmp_path_factory):
     with contextlib.redirect_stdout(io.StringIO()):
         for key in KEYS:
             assert main(["catalog", "show", key, "--export", str(out)]) == 0
+    # E(omega) of a zero base is 0, outside whose image the class lies: every slope is infinite
+    zero = ColoredLinkData("zero", 2, (("A", 1), ("B", 2)), {}, g=2,
+                           seifert={(1, 1): ((0, 0), (0, 0)), (1, -1): ((0, 0), (0, 0))})
+    save_slope(SlopeData(zero, (1, 0), 1), os.path.join(str(out), "zero.slope.json"))
     return str(out)
 
 
 def _argv(case: str, export_dir: str) -> list[str]:
-    kind, arg = case.split(" ")
+    kind, arg = case.split(" ", 1)
+    if kind == "slope":
+        key, omega = arg.split(" ")
+        path = os.path.join(export_dir, key.replace("(", "_").replace(")", "") + ".slope.json")
+        return ["slope", path, "--omega", omega.replace("HUGE", HUGE_TURN)]
     if kind == "show":
         return ["catalog", "show", arg]
     pres = os.path.join(export_dir, "aug4.presentation.json")
@@ -122,7 +153,9 @@ def _cases() -> list[str]:
     return ([f"show {key}" for key in KEYS]
             + [f"{kind} {key}" for key in links for kind in ("plain", "normalized", "delta", "conway")]
             + [f"classify {n}" for n in (3, 5, 8, 11)]
-            + ["omega 1/3,1/4,0,1/2"])
+            + ["omega 1/3,1/4,0,1/2"]
+            + [f"slope l({n}) {omega}" for n in range(1, 5) for omega in ("1/4,1/4", "1/3,2/5", "1/7,5/6")]
+            + ["slope zero 1/3,1/5", "slope l(1) 0,1/4", "slope l(1) 1/4", "slope l(2) 1/3,HUGE"])
 
 
 @pytest.mark.parametrize("case", _cases())

@@ -7,28 +7,23 @@ import pytest
 
 from linksig.cli import main
 from linksig.sampler import grid
-from linksig.strata import PresentationMatrix, load_presentation, save_presentation, stratum_indices
+from linksig.strata import PresentationMatrix, classify, load_presentation, save_presentation
 from linksig.torus import TorusPoint
 
 from conftest import random_poly
+from per_point import strata_to_csv_per_row
 
 # -- the ideals writer before the columns: the reference ---------------------------
 
 
 def reference_ideals(path: str, omega: str | None, n: int, tau_poly: float) -> tuple[str, int]:
     pres = load_presentation(path)
-    lines = ["q" + ",q".join(str(i) for i in range(1, pres.mu + 1)) + ",index,predicted_nullity,flags"]
-    uncertain = False
     if omega:
         points = [TorusPoint.from_string(omega)]
     else:
         points = [pt for pt in grid(n, pres.mu, include_faces=True) if not pt.is_basepoint()]
-    for rep in stratum_indices(pres, points, tau_poly):
-        predicted = "NA" if rep.predicted_nullity is None else str(rep.predicted_nullity)
-        flags = "|".join(sorted(rep.flags))
-        uncertain = uncertain or "Uncertain" in rep.flags
-        lines.append(",".join(rep.point.turn_strings() + (str(rep.index), predicted, flags)))
-    return "\n".join(lines) + "\n", 3 if uncertain else 0
+    result = classify(pres, points, tau_poly)
+    return strata_to_csv_per_row(result, pres.mu), 3 if result.uncertain.any() else 0
 
 
 def _check(path, capsys, tmp_path, omega=None, n=8, tau_poly=1e-8):

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from linksig.catalog import get, ln_face_sigma, ln_slope_value
-from linksig.clink import ColoredLinkData, SlopeData
-from linksig.errors import EigensolverFailure, InvalidInput, LinksigError, Mu1Only, NotDivisible
+from linksig.clink import ColoredLinkData, SlopeData, hermitian_forms
+from linksig.errors import EigensolverFailure, InvalidInput, Mu1Only, NotDivisible
+from linksig.hermitian import DEFAULT_TAU, inertia_many
 from linksig.invariants import (
-    face_parts,
-    face_signature,
+    check_face_hypotheses,
     hosokawa,
     hosokawa_normalized,
     hosokawa_two_component,
@@ -23,11 +23,20 @@ from linksig.laurent import (
     eq_up_to_units,
     parse_poly,
 )
+from linksig.sampler import FLAG_ERROR, FLAG_FACE_UNAVAILABLE, SOURCE_FACE, SOURCES, sweep
 from linksig.torus import TorusPoint
 
 from conftest import random_turn
+from per_point import coefficients
 
 P = parse_poly
+
+
+def face_signatures(link, slope_data, points):
+    """The sweep's signature at each face point: sublink signature plus slope sign."""
+    result = sweep(link, points, slope_data)
+    assert (result.source == SOURCES.index(SOURCE_FACE)).all()
+    return result.sigma.tolist()
 
 
 def test_hosokawa_table():
@@ -151,9 +160,10 @@ def test_overflowing_slope_is_an_error_not_a_face_sign():
     sd = replace(entry.slope, base=replace(base, seifert=huge))
     with pytest.raises(EigensolverFailure):
         slope(sd, TorusPoint.of(Fraction(1, 30), Fraction(1, 30)))
-    for q2, q3 in ((1, 1), (1, 29), (29, 1), (29, 29)):
-        with pytest.raises(LinksigError):
-            face_parts(entry.link, sd, TorusPoint.of(0, Fraction(q2, 30), Fraction(q3, 30)))
+    points = [TorusPoint.of(0, Fraction(q2, 30), Fraction(q3, 30))
+              for q2, q3 in ((1, 1), (1, 29), (29, 1), (29, 29))]
+    result = sweep(entry.link, points, sd)
+    assert result.sigma_na.all() and all(result.flags[i][0] == FLAG_ERROR for i in range(len(points)))
 
 
 def test_slope_requires_interior():
@@ -166,37 +176,36 @@ def test_face_signature_values():
     entry = get("l(1)")
     link, sd = entry.link, entry.slope
     pt = TorusPoint.of(0, Fraction(1, 4), Fraction(1, 4))
-    assert face_signature(link, sd, pt) == 1
     # negative face value: turns (1/6, 5/6) have |q1 - q2| = 2/3 > 1/2
     neg = TorusPoint.of(0, Fraction(1, 6), Fraction(5, 6))
-    assert face_signature(link, sd, neg) == -1
-    assert ln_face_sigma(TorusPoint.of(Fraction(1, 6), Fraction(5, 6))) == -1
     # zero face value on the diagonal offset 1/2
     zero = TorusPoint.of(0, Fraction(1, 4), Fraction(3, 4))
-    assert face_signature(link, sd, zero) == 0
+    assert face_signatures(link, sd, [pt, neg, zero]) == [1, -1, 0]
+    assert ln_face_sigma(TorusPoint.of(Fraction(1, 6), Fraction(5, 6))) == -1
 
 
 def test_face_signature_sublink_term_is_zero_for_ln(rng):
     entry = get("l(1)")
-    for _ in range(25):
-        pt = TorusPoint.of(0, random_turn(rng), random_turn(rng))
-        parts = face_parts(entry.link, entry.slope, pt)
-        assert parts.sublink_inertia.pair == (0, 0)
-        assert parts.sublink_inertia.certified
+    sub_points = [TorusPoint.of(random_turn(rng), random_turn(rng)) for _ in range(25)]
+    sigma, eta, certified, ok, _ = inertia_many(*hermitian_forms(entry.slope.base, coefficients(sub_points)),
+                                                DEFAULT_TAU)
+    assert not sigma.any() and not eta.any() and certified.all() and ok.all()
 
 
 def test_face_signature_preconditions():
     entry = get("l(1)")
     link, sd = entry.link, entry.slope
-    with pytest.raises(InvalidInput, match="distinguished"):
-        face_signature(link, sd, TorusPoint.of(Fraction(1, 4), 0, Fraction(1, 4)))
-    with pytest.raises(InvalidInput, match="distinguished"):
-        face_signature(link, sd, TorusPoint.of(0, 0, Fraction(1, 4)))
+    # a face of another coordinate is unavailable, and one of two coordinates is skipped
+    points = [TorusPoint.of(Fraction(1, 4), 0, Fraction(1, 4)), TorusPoint.of(0, 0, Fraction(1, 4))]
+    result = sweep(link, points, sd)
+    assert result.sigma_na.all() and result.flags == {0: (FLAG_FACE_UNAVAILABLE,)}
     linked = ColoredLinkData("bad", 3, (("K1", 1), ("K2", 2), ("K3", 3)),
                              {("K1", "K2"): 1}, g=2,
                              seifert=link.seifert)
     with pytest.raises(InvalidInput, match="linking"):
-        face_signature(linked, sd, TorusPoint.of(0, Fraction(1, 4), Fraction(1, 4)))
+        check_face_hypotheses(linked, sd)
+    result = sweep(linked, [TorusPoint.of(0, Fraction(1, 4), Fraction(1, 4))], sd)
+    assert result.sigma_na.all() and result.flags == {0: (FLAG_ERROR, "InvalidInput")}
 
 
 def test_signature_at_full_one():
@@ -215,10 +224,9 @@ def test_face_signature_symmetry_follows_closed_form(rng):
     # coordinates and under conjugate-and-swap; the solver must agree with
     # the exact sign everywhere
     entry = get("l(1)")
-    for _ in range(40):
-        q1, q2 = random_turn(rng, max_den=97), random_turn(rng, max_den=97)
-        a = face_signature(entry.link, entry.slope, TorusPoint.of(0, q1, q2))
-        assert a == ln_face_sigma(TorusPoint.of(q1, q2))
-        assert a == face_signature(entry.link, entry.slope, TorusPoint.of(0, q2, q1))
-        conj_swap = TorusPoint.of(0, (1 - q2) % 1, (1 - q1) % 1)
-        assert a == face_signature(entry.link, entry.slope, conj_swap)
+    turns = [(random_turn(rng, max_den=97), random_turn(rng, max_den=97)) for _ in range(40)]
+    a, swapped, conj_swapped = (
+        face_signatures(entry.link, entry.slope, [TorusPoint.of(0, *pair) for pair in pairs])
+        for pairs in (turns, [(q2, q1) for q1, q2 in turns], [((1 - q2) % 1, (1 - q1) % 1) for q1, q2 in turns]))
+    assert a == [ln_face_sigma(TorusPoint.of(q1, q2)) for q1, q2 in turns]
+    assert a == swapped == conj_swapped

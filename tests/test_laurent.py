@@ -9,16 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linksig.clink import seifert_coefficients
 from linksig.errors import InvalidInput, NotDivisible
 from linksig.laurent import (
     LaurentPoly,
     conj_involution,
     divides,
     eq_up_to_units,
-    eval_at,
     eval_family,
-    eval_many,
+    eval_numerators,
     exact_div,
     format_poly,
     gcd,
@@ -29,10 +27,11 @@ from linksig.laurent import (
 )
 from linksig.laurent import _leading_in, _monomial_shift, _shift_in, _univariate_view
 from linksig.sampler import tbang_points
-from linksig.strata import PresentationMatrix, stratum_indices
+from linksig.strata import PresentationMatrix, classify
 from linksig.torus import Lattice, TorusPoint, denominator_groups, lattice
 
 from conftest import random_point, random_poly, random_turn
+from per_point import coefficients, eval_at
 
 P = parse_poly
 
@@ -91,6 +90,14 @@ def _mixed_points(rng: random.Random, mu: int, count: int) -> list[TorusPoint]:
     return pts
 
 
+def eval_many(p: LaurentPoly, points) -> np.ndarray:
+    """eval_numerators on each denominator group of the points, in their order."""
+    out = np.zeros(len(points), dtype=np.complex128)
+    for d, rows, nums in denominator_groups(points):
+        out[rows] = eval_numerators(p, d, nums)
+    return out
+
+
 @pytest.mark.parametrize("half_step", [False, True])
 def test_eval_many_equals_eval_at_exactly(rng, half_step):
     for _ in range(60):
@@ -125,13 +132,11 @@ def test_eval_family_equals_eval_at_exactly(rng, half_step):
 
 
 def test_eval_many_edge_cases():
-    assert eval_many(P("t1 + 1", mu=2), []).shape == (0,)
+    assert eval_numerators(P("t1 + 1", mu=2), 3, np.zeros((0, 2), dtype=np.int64)).shape == (0,)
     pts = [TorusPoint.of(Fraction(1, 3), 0), TorusPoint.of(Fraction(1, 2), Fraction(1, 5))]
     assert eval_many(LaurentPoly.zero(2), pts).tolist() == [0j, 0j]
     huge = P(f"t1^{10**30} - t2^-{10**25}", mu=2)
     assert eval_many(huge, pts).tolist() == [eval_at(huge, pt) for pt in pts]
-    with pytest.raises(InvalidInput, match="arity mismatch"):
-        eval_many(P("t1*t2"), pts + [TorusPoint.of(Fraction(1, 3))])
 
 
 # common denominators below 2^63 with an int64 overflow risk in the exponent
@@ -158,10 +163,6 @@ def test_eval_many_huge_denominators(rng):
                 eval_at(p, pt) for pt in HUGE_DENOMINATOR_POINTS]
 
 
-def _strata_fields(reports):
-    return [(rep.point, rep.index, rep.predicted_nullity, rep.flags) for rep in reports]
-
-
 @pytest.mark.parametrize("mu", [1, 2, 3])
 def test_lattice_batches_equal_the_list_path(rng, mu):
     # turns k/8: faces and reduced denominators 1, 2, 4 and 8 in one lattice
@@ -169,7 +170,7 @@ def test_lattice_batches_equal_the_list_path(rng, mu):
     face = P("t1 - 1", mu=mu)
     for points in (whole, whole[len(whole) // 3:len(whole) // 3 + 37], whole[::-5]):
         listed = list(points)
-        assert seifert_coefficients(mu, points).tolist() == seifert_coefficients(mu, listed).tolist()
+        assert coefficients(points).tolist() == coefficients(listed).tolist()
         for half_step in (False, True):
             for _ in range(4):
                 p = random_poly(rng, mu, max_terms=5, exp_range=(-9, 9), half_step=half_step)
@@ -181,8 +182,9 @@ def test_lattice_batches_equal_the_list_path(rng, mu):
         pres = PresentationMatrix(mu, rows)
         pointed = points[1:] if points[0].is_basepoint() else points
         for tau_poly in (1e-8, 0.3):
-            assert _strata_fields(stratum_indices(pres, pointed, tau_poly)) == \
-                _strata_fields(stratum_indices(pres, list(pointed), tau_poly))
+            by_lattice, by_list = classify(pres, pointed, tau_poly), classify(pres, list(pointed), tau_poly)
+            for column in ("index", "uncertain", "ones"):
+                assert getattr(by_lattice, column).tolist() == getattr(by_list, column).tolist()
 
 
 def test_lattice_batches_with_huge_denominators(rng):
@@ -201,8 +203,7 @@ def test_lattice_batches_with_huge_denominators(rng):
             nums = points.numerators()
             assert nums.dtype == np.int64
             assert nums.tolist() == [[int(q * points.n) for q in pt.turns] for pt in listed]
-            assert seifert_coefficients(points.mu, points).tolist() == \
-                seifert_coefficients(points.mu, listed).tolist()
+            assert coefficients(points).tolist() == coefficients(listed).tolist()
         for half_step in (False, True):
             for _ in range(4):
                 p = random_poly(rng, listed[0].mu, max_terms=5, exp_range=(-40, 40),

@@ -12,7 +12,7 @@ from linksig import sampler
 from linksig.catalog import get, ln_face_sigma, t24_sigma
 from linksig.clink import ColoredLinkData
 from linksig.errors import InvalidInput
-from linksig.laurent import LaurentPoly, eval_at, parse_poly
+from linksig.laurent import LaurentPoly, parse_poly
 from linksig.sampler import (
     FLAG_ERROR,
     SOURCE_FACE,
@@ -25,10 +25,12 @@ from linksig.sampler import (
     records_to_csv,
     records_to_json,
     records_to_ppm,
-    sample_map,
+    sweep,
     tbang_points,
 )
 from linksig.torus import TorusPoint
+
+from per_point import eval_at
 
 
 def test_grid_examples():
@@ -78,7 +80,7 @@ def test_tbang_primality_is_fast_and_exact():
 
 def test_sample_map_ln_interior():
     entry = get("l(1)")
-    records = sample_map(entry.link, grid(8, 3), entry.slope)
+    records = sweep(entry.link, grid(8, 3), entry.slope).records()
     assert len(records) == 7**3
     assert all(r.source == SOURCE_INTERIOR and r.certified for r in records)
     assert {(r.sigma, r.eta) for r in records} == {(0, 0)}
@@ -92,10 +94,10 @@ def test_sample_map_sources():
         TorusPoint.of(0, 0, Fraction(1, 4)),                # two ones
         TorusPoint.of(0, 0, 0),                             # basepoint
     ]
-    recs = sample_map(entry.link, pts, entry.slope)
+    recs = sweep(entry.link, pts, entry.slope).records()
     assert [r.source for r in recs] == [SOURCE_FACE, SOURCE_SKIPPED, SOURCE_SKIPPED, SOURCE_SKIPPED]
     assert recs[0].sigma == 1 and recs[0].eta is None
-    no_slope = sample_map(entry.link, pts[:1], None)
+    no_slope = sweep(entry.link, pts[:1], None).records()
     assert no_slope[0].source == SOURCE_SKIPPED
 
 
@@ -103,7 +105,7 @@ def test_sample_map_face_matches_closed_form():
     entry = get("l(1)")
     pts = [TorusPoint.of(0, Fraction(k1, 8), Fraction(k2, 8))
            for k1 in range(1, 8) for k2 in range(1, 8)]
-    recs = sample_map(entry.link, pts, entry.slope)
+    recs = sweep(entry.link, pts, entry.slope).records()
     for rec in recs:
         assert rec.source == SOURCE_FACE
         assert rec.sigma == ln_face_sigma(rec.point.drop(1))
@@ -115,9 +117,9 @@ def test_sample_map_deterministic_across_workers():
     old = os.environ.get("LINKSIG_THREADS")
     try:
         os.environ["LINKSIG_THREADS"] = "1"
-        serial = sample_map(entry.link, pts)
+        serial = sweep(entry.link, pts).records()
         os.environ["LINKSIG_THREADS"] = "8"
-        threaded = sample_map(entry.link, pts)
+        threaded = sweep(entry.link, pts).records()
     finally:
         if old is None:
             os.environ.pop("LINKSIG_THREADS", None)
@@ -131,7 +133,7 @@ def test_face_with_underflowing_slope_coefficient_is_skipped():
     # evaluation error, and the other face of the list is unaffected
     entry = get("l(1)")
     pts = [TorusPoint.from_string("0,1e-200,1e-200"), TorusPoint.of(0, Fraction(1, 4), Fraction(1, 4))]
-    failed, face = sample_map(entry.link, pts, entry.slope)
+    failed, face = sweep(entry.link, pts, entry.slope).records()
     assert (failed.sigma, failed.source, failed.certified) == (None, SOURCE_SKIPPED, False)
     assert failed.flags == (FLAG_ERROR, "EigensolverFailure")
     assert (face.sigma, face.source) == (1, SOURCE_FACE)
@@ -145,14 +147,14 @@ def test_face_with_underflowing_slope_coefficient_is_skipped():
 ])
 def test_wrong_arity_points_are_errors_whatever_their_coordinates(key, points):
     entry = get(key)
-    for rec in sample_map(entry.link, points, entry.slope):
+    for rec in sweep(entry.link, points, entry.slope).records():
         assert (rec.sigma, rec.eta, rec.source, rec.certified) == (None, None, SOURCE_SKIPPED, False), rec
         assert rec.flags == (FLAG_ERROR, "InvalidInput"), rec
 
 
 def test_mu1_circle_including_one():
     hopf = get("hopf1").link
-    recs = sample_map(hopf, grid(24, 1, include_faces=True))
+    recs = sweep(hopf, grid(24, 1, include_faces=True)).records()
     assert len(recs) == 24
     assert all(r.sigma == -1 for r in recs)
     one = [r for r in recs if r.point.turns[0] == 0]
@@ -218,7 +220,7 @@ def _reference_constancy(link, poly, n, tau_poly=1e-8):
     # the per-pair evaluation: every node and midpoint through eval_at
     mu1 = link.mu == 1
     points = list(grid(n, link.mu, include_faces=mu1))
-    by_point = {rec.point: rec for rec in sample_map(link, points)}
+    by_point = {rec.point: rec for rec in sweep(link, points).records()}
     cut = 10 * tau_poly * (1 + poly.coefficient_mass())
     violations, seen = [], set()
     for pt in points:
@@ -313,7 +315,7 @@ def test_concordance_report_of_a_point_list_matches_the_lattice(monkeypatch):
 def test_concordance_witnesses_reverify():
     ln = get("l(2)")
     rep = concordance_report(ln.link, ln.slope, 2, 2)
-    again = sample_map(ln.link, [p for p, _ in rep.witnesses], ln.slope)
+    again = sweep(ln.link, [p for p, _ in rep.witnesses], ln.slope).records()
     assert [r.sigma for r in again] == [s for _, s in rep.witnesses]
 
 
@@ -334,7 +336,7 @@ def test_concordance_report_matches_the_closed_form(key, d):
 
 def test_csv_format():
     entry = get("t24")
-    recs = sample_map(entry.link, grid(2, 2, include_faces=True))
+    recs = sweep(entry.link, grid(2, 2, include_faces=True)).records()
     text = records_to_csv(recs, 2)
     lines = text.strip().split("\n")
     assert lines[0] == "q1,q2,sigma,eta,source,certified"
@@ -346,7 +348,7 @@ def test_json_format():
     import json
 
     entry = get("t24")
-    recs = sample_map(entry.link, grid(2, 2))
+    recs = sweep(entry.link, grid(2, 2)).records()
     payload = json.loads(records_to_json(recs, 2))
     assert payload["mu"] == 2
     assert payload["records"][0]["turns"] == ["1/2", "1/2"]
@@ -356,7 +358,7 @@ def test_json_format():
 def test_ppm_format():
     entry = get("t24")
     n = 8
-    recs = sample_map(entry.link, grid(n, 2))
+    recs = sweep(entry.link, grid(n, 2)).records()
     text = records_to_ppm(recs, n - 1, n - 1)
     lines = text.strip().split("\n")
     assert lines[0] == "P3" and lines[1] == "7 7" and lines[2] == "255"

@@ -8,28 +8,29 @@ import pytest
 
 from linksig.catalog import get
 from linksig.errors import BasePoint, InvalidInput
-from linksig.laurent import LaurentPoly, eq_up_to_units, eval_at, format_poly, parse_poly
+from linksig.laurent import LaurentPoly, eq_up_to_units, format_poly, parse_poly
 from linksig.strata import (
-    FLAG_MORE_THAN_TWO_ONES,
-    FLAG_UNCERTAIN,
     PresentationMatrix,
     classify,
     first_ideal_gcd,
     presentation_from_dict,
     presentation_to_dict,
-    stratum_index,
-    stratum_indices,
-    vanishes_at,
 )
 from linksig.torus import TorusPoint, lattice
 
 from conftest import random_point, random_poly, random_turn
+from per_point import coefficients, eval_at, vanishes_at
 
 P = parse_poly
 
 
 def two_rows_one_generator():
     return PresentationMatrix(2, [[P("t1 - 1", mu=2)], [P("t2 - 1", mu=2)]])
+
+
+def columns(result):
+    """(index, uncertain, ones) for each row of classify's result."""
+    return list(zip(result.index.tolist(), result.uncertain.tolist(), result.ones.tolist()))
 
 
 def test_elementary_ideal_conventions():
@@ -75,10 +76,9 @@ def test_vanishes_at_examples():
 
 def test_stratum_index_simple():
     p = two_rows_one_generator()
-    rep = stratum_index(p, TorusPoint.of(Fraction(1, 2), Fraction(1, 2)))
-    assert rep.index == 0 and rep.predicted_nullity == 0 and not rep.flags
+    assert columns(classify(p, [TorusPoint.of(Fraction(1, 2), Fraction(1, 2))])) == [(0, False, 0)]
     with pytest.raises(BasePoint):
-        stratum_index(p, TorusPoint.of(0, 0))
+        classify(p, [TorusPoint.of(0, 0)])
 
 
 def test_single_generator_strata(rng):
@@ -86,8 +86,7 @@ def test_single_generator_strata(rng):
     p = PresentationMatrix(2, [[poly], [poly * P("t1 - 1", mu=2)]])
     on_curve = TorusPoint.of(Fraction(1, 4), Fraction(1, 4))  # w1 w2 = -1
     off_curve = TorusPoint.of(Fraction(1, 4), Fraction(1, 2))
-    assert stratum_index(p, on_curve).index == 1
-    assert stratum_index(p, off_curve).index == 0
+    assert classify(p, [on_curve, off_curve]).index.tolist() == [1, 0]
 
 
 def test_nesting_property(rng):
@@ -127,14 +126,10 @@ def test_aug4_strata():
         TorusPoint.of(0, Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)),
         TorusPoint.of(0, 0, Fraction(1, 3), Fraction(2, 5)),
     ]
-    for pt in samples:
-        rep = stratum_index(p, pt)
-        assert rep.index == 1
-        assert rep.predicted_nullity == 1
-    rep = stratum_index(p, TorusPoint.of(0, 0, 0, Fraction(1, 3)))
-    assert rep.index == 1
-    assert rep.predicted_nullity is None
-    assert FLAG_MORE_THAN_TWO_ONES in rep.flags
+    # index 1, which predicts nullity 1 where at most two coordinates are 1
+    assert [(index, ones) for index, _, ones in columns(classify(p, samples))] == [(1, 0), (1, 1), (1, 2)]
+    # more than two: no prediction
+    assert classify(p, [TorusPoint.of(0, 0, 0, Fraction(1, 3))]).ones.tolist() == [3]
 
 
 def test_aug4_numeric_rank_oracle(rng):
@@ -167,37 +162,34 @@ def test_stratum_matches_hermitian_nullity_on_shared_zero_locus():
     # t1*t2 + 1 (its matrix oracle test), and a rank-one presentation with
     # that generator places stratum 1 exactly there: the two code paths must
     # agree sample by sample on interior points
-    from linksig.clink import hermitian_with_scale
+    from linksig.clink import hermitian_forms
     from linksig.hermitian import inertia
     from linksig.sampler import grid
 
     entry = get("t24")
     pres = PresentationMatrix(2, [[P("t1*t2 + 1")]])
-    for pt in grid(16, 2):
-        h, scale = hermitian_with_scale(entry.link, pt)
+    points = grid(16, 2)
+    result = classify(pres, points)
+    assert not result.ones.any()  # so the index predicts the nullity
+    for h, scale, index in zip(*hermitian_forms(entry.link, coefficients(points)), result.index.tolist()):
         res = inertia(h, scale=scale)
-        rep = stratum_index(pres, pt)
         assert res.certified
-        assert rep.predicted_nullity == res.nullity
+        assert index == res.nullity
 
 
 def _reference_stratum(p, pt, tau_poly):
-    """(index, predicted, flags) for one sample from vanishes_at and eval_at."""
-    index, flags = 0, set()
+    """(index, uncertain, ones) for one sample from vanishes_at and eval_at."""
+    index, uncertain = 0, False
     for r in range(1, p.m_generators + 1):
         gens = p.elementary_ideal(r)
         for g in gens:
             if not g.is_zero():
                 cut = tau_poly * (1 + g.coefficient_mass())
-                if cut / 16 < abs(eval_at(g, pt)) < cut * 16:
-                    flags.add(FLAG_UNCERTAIN)
+                uncertain |= cut / 16 < abs(eval_at(g, pt)) < cut * 16
         if not vanishes_at(gens, pt, tau_poly):
             break
         index = r
-    if len(pt.unit_coordinates()) > 2:
-        flags.add(FLAG_MORE_THAN_TWO_ONES)
-        return index, None, flags
-    return index, index, flags
+    return index, uncertain, len(pt.unit_coordinates())
 
 
 def _random_presentation(rng, mu):
@@ -212,9 +204,15 @@ def _random_presentation(rng, mu):
     return PresentationMatrix(mu, rows)
 
 
+def _assert_covered(seen):
+    # the comparison covered every index, uncertain samples and more than two ones
+    assert {index for index, _, _ in seen} == {0, 1, 2, 3}
+    assert {unsure for _, unsure, _ in seen} == {many for _, _, many in seen} == {False, True}
+
+
 def test_stratum_indices_match_per_point_reference():
     rng = random.Random(7)
-    seen_index, seen_flags = set(), set()
+    seen = set()
     for trial in range(16):
         mu = 2 + trial % 3
         p = _random_presentation(rng, mu)
@@ -226,40 +224,35 @@ def test_stratum_indices_match_per_point_reference():
         pts = [pt for pt in pts if not pt.is_basepoint()]
         rng.shuffle(pts)
         for tau_poly in (1e-8, 0.05, 0.3, 2.0):
-            reports = stratum_indices(p, pts, tau_poly)
-            assert [rep.point for rep in reports] == pts
-            for pt, rep in zip(pts, reports):
-                index, predicted, flags = _reference_stratum(p, pt, tau_poly)
-                assert (rep.index, rep.predicted_nullity, rep.flags) == (index, predicted, flags)
-                seen_index.add(rep.index)
-                seen_flags |= rep.flags
-    # the comparison covered every index, uncertain samples and more than two ones
-    assert seen_index == {0, 1, 2, 3}
-    assert seen_flags == {FLAG_UNCERTAIN, FLAG_MORE_THAN_TWO_ONES}
+            rows = columns(classify(p, pts, tau_poly))
+            assert rows == [_reference_stratum(p, pt, tau_poly) for pt in pts]
+            seen |= {(index, unsure, ones > 2) for index, unsure, ones in rows}
+    _assert_covered(seen)
+
 
 
 def test_stratum_indices_errors_anywhere_in_the_list():
     p = two_rows_one_generator()
     good = [TorusPoint.of(Fraction(1, 2), Fraction(1, 3)), TorusPoint.of(0, Fraction(1, 4))]
-    assert stratum_indices(p, []) == []
+    assert columns(classify(p, [])) == []
     with pytest.raises(BasePoint):
-        stratum_indices(p, good + [TorusPoint.of(0, 0)] + good)
+        classify(p, good + [TorusPoint.of(0, 0)] + good)
     with pytest.raises(InvalidInput, match="point arity 3 != presentation arity 2"):
-        stratum_indices(p, good + [TorusPoint.of(0, 0, Fraction(1, 2))])
-    # the first offending point decides, as a loop over stratum_index would
+        classify(p, good + [TorusPoint.of(0, 0, Fraction(1, 2))])
+    # the first offending point decides, as a loop over the points would
     with pytest.raises(InvalidInput, match="point arity"):
-        stratum_indices(p, [TorusPoint.of(Fraction(1, 2)), TorusPoint.of(0, 0)])
+        classify(p, [TorusPoint.of(Fraction(1, 2)), TorusPoint.of(0, 0)])
     with pytest.raises(BasePoint):
-        stratum_indices(p, [TorusPoint.of(0, 0), TorusPoint.of(Fraction(1, 2))])
+        classify(p, [TorusPoint.of(0, 0), TorusPoint.of(Fraction(1, 2))])
     with pytest.raises(InvalidInput, match="point arity"):
-        stratum_index(p, TorusPoint.of(Fraction(1, 2)))
+        classify(p, [TorusPoint.of(Fraction(1, 2))])
 
 
 def test_huge_coefficients_are_invalid_input():
     big = PresentationMatrix(2, [[P(f"{10**400}*t1 - 1", mu=2)], [P("t2 - 1", mu=2)]])
     pt = TorusPoint.of(Fraction(1, 3), Fraction(1, 5))
     with pytest.raises(InvalidInput, match="does not fit a float"):
-        stratum_indices(big, [pt])
+        classify(big, [pt])
     with pytest.raises(InvalidInput, match="does not fit a float"):
         vanishes_at(big.elementary_ideal(1), pt)
 
@@ -275,27 +268,21 @@ def test_stratum_indices_huge_denominators():
            TorusPoint.of(Fraction(1, 2**70 + 1), Fraction(2, 7)),
            TorusPoint.of(0, Fraction(1, 2))]
     for tau_poly in (1e-8, 0.05, 2.0):
-        reports = stratum_indices(p, pts, tau_poly)
-        for pt, rep in zip(pts, reports):
-            assert (rep.index, rep.predicted_nullity, rep.flags) == _reference_stratum(p, pt, tau_poly)
+        assert columns(classify(p, pts, tau_poly)) == [_reference_stratum(p, pt, tau_poly) for pt in pts]
 
 
 def _assert_columns_match_reference(p, points, tau_poly):
     result = classify(p, points, tau_poly)
     assert result.points is points
     assert len(result.index) == len(result.uncertain) == len(result.ones) == len(points)
-    reports = stratum_indices(p, points, tau_poly)
-    for pt, rep, i, unsure, ones in zip(points, reports, result.index.tolist(),
-                                        result.uncertain.tolist(), result.ones.tolist()):
-        index, predicted, flags = _reference_stratum(p, pt, tau_poly)
-        assert (i, unsure, ones) == (index, FLAG_UNCERTAIN in flags, len(pt.unit_coordinates()))
-        assert (rep.point, rep.index, rep.predicted_nullity, rep.flags) == (pt, index, predicted, flags)
-    return reports
+    rows = columns(result)
+    assert rows == [_reference_stratum(p, pt, tau_poly) for pt in points]
+    return rows
 
 
 def test_classify_columns_match_per_point_reference_on_lattices_slices_and_lists():
     rng = random.Random(12)
-    seen_index, seen_flags, term_counts = set(), set(), set()
+    seen, term_counts = set(), set()
     for trial in range(9):
         mu = 2 + trial % 3
         p = _random_presentation(rng, mu)
@@ -305,11 +292,9 @@ def test_classify_columns_match_per_point_reference_on_lattices_slices_and_lists
         whole = lattice(n, mu)[1:]
         for points in (whole, whole[3:40:3], whole[::-5], list(whole[7:31]), lattice(n, mu, 1)):
             for tau_poly in (1e-8, 0.3, 2.0):
-                for rep in _assert_columns_match_reference(p, points, tau_poly):
-                    seen_index.add(rep.index)
-                    seen_flags |= rep.flags
-    assert seen_index == {0, 1, 2, 3}
-    assert seen_flags == {FLAG_UNCERTAIN, FLAG_MORE_THAN_TWO_ONES}
+                rows = _assert_columns_match_reference(p, points, tau_poly)
+                seen |= {(index, unsure, ones > 2) for index, unsure, ones in rows}
+    _assert_covered(seen)
     assert max(term_counts) > 1  # some ideal had generators with different term counts
 
 
@@ -337,5 +322,5 @@ def test_classify_lattice_checks():
     with pytest.raises(InvalidInput, match="point arity 3 != presentation arity 2"):
         classify(p, lattice(3, 3)[1:])
     empty = classify(p, lattice(3, 2)[1:1])
-    assert len(empty.index) == 0 and stratum_indices(p, lattice(3, 2)[1:1]) == []
+    assert len(empty.index) == len(empty.uncertain) == len(empty.ones) == 0
     assert classify(p, lattice(3, 2)[1:]).ones.tolist() == [1, 1, 1, 0, 0, 1, 0, 0]

@@ -10,17 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linksig import torus
 from linksig.clink import ColoredLinkData, sign_vectors
 from linksig.errors import InvalidInput
-from linksig.sampler import grid, records_to_csv, records_to_json, sample_map, sweep, tbang_points
+from linksig.sampler import grid, records_to_csv, records_to_json, sweep, tbang_points
 from linksig.torus import (
     Lattice,
     TorusPoint,
     csv_lines,
     denominator_groups,
     lattice,
-    map_keys,
-    turn_strings,
     unit_root,
     unit_roots,
 )
@@ -133,17 +132,9 @@ def test_turn_strings_format_each_turn_once_per_group(monkeypatch):
     calls = []
     original = Fraction.__str__
     monkeypatch.setattr(Fraction, "__str__", lambda q: calls.append(q) or original(q))
-    points = list(grid(7, 3, include_faces=True))
-    assert turn_strings(points).tolist() == [[original(q) for q in pt.turns] for pt in points]
-    assert len(calls) == 8  # 0 for the base point, the one point over 1; 0/7, ..., 6/7 for the rest
-    # distinct objects with equal values are formatted alike
-    assert turn_strings([TorusPoint.of(Fraction(2, 7), "1/7")]).tolist() == [["2/7", "1/7"]]
-    calls.clear()
-    assert turn_strings(grid(7, 3)).tolist() == [[original(q) for q in pt.turns] for pt in grid(7, 3)]
-    assert len(calls) == 6
     link = ColoredLinkData("unit", 3, (("K1", 1), ("K2", 2), ("K3", 3)), {}, g=1,
                            seifert={eps: ((1,),) for eps in sign_vectors(3) if eps[0] > 0})
-    for records in (sample_map(link, grid(7, 3)), sweep(link, grid(7, 3))):
+    for records in (sweep(link, grid(7, 3)).records(), sweep(link, grid(7, 3))):
         for to_text in (records_to_csv, records_to_json):
             calls.clear()
             to_text(records, 3)
@@ -152,15 +143,14 @@ def test_turn_strings_format_each_turn_once_per_group(monkeypatch):
 
 def test_turn_strings_pad_shorter_points_and_csv_lines_join_them():
     points = [TorusPoint.of("1/2", "1/3"), TorusPoint.of("1/4"), TorusPoint.of("0", "1/6", "5/6")]
-    assert turn_strings(points).tolist() == [["1/2", "1/3", ""], ["1/4", "", ""], ["0", "1/6", "5/6"]]
     tails, which = [",a\n", ",b\n", ",c\n"], np.arange(3)
     assert csv_lines(points, tails, which) == "1/2,1/3,a\n1/4,b\n0,1/6,5/6,c\n"
     assert csv_lines(points[:2], tails, which[:2]) == "1/2,1/3,a\n1/4,b\n"
     assert csv_lines(grid(3, 2)[:2], tails, which[:2]) == "1/3,1/3,a\n1/3,2/3,b\n"
-    assert turn_strings([]).shape == (0, 0) and csv_lines([], tails, which[:0]) == ""
+    assert csv_lines([], tails, which[:0]) == ""
 
 
-def test_unit_roots_match_unit_root_on_both_branches():
+def test_unit_roots_match_unit_root_on_both_branches(monkeypatch):
     rng = np.random.default_rng(3)
     cases = [(rng.integers(0, 12, size=(40, 3)), 12),  # int64, den <= size: a den-long table
              (rng.integers(0, 97, size=(5, 3)), 97),  # int64, den > size: np.unique
@@ -171,9 +161,12 @@ def test_unit_roots_match_unit_root_on_both_branches():
         roots = unit_roots(ks, den)
         assert roots.shape == ks.shape and roots.dtype == np.complex128
         assert roots.tolist() == [[unit_root(int(k), den) for k in row] for row in ks.tolist()]
-        calls = []
-        texts = map_keys(ks, den, lambda k: calls.append(k) or f"{k}/{den}", object)
-        assert texts.tolist() == [[f"{k}/{den}" for k in row] for row in ks.tolist()]
+    # one call per distinct entry, each value in its place
+    calls = []
+    monkeypatch.setattr(torus, "unit_root", lambda k, d: calls.append(k) or complex(k, d))
+    for ks, den in cases:
+        calls.clear()
+        assert unit_roots(ks, den).tolist() == [[complex(k, den) for k in row] for row in ks.tolist()]
         assert sorted(calls) == sorted(set(ks.ravel().tolist()))
 
 
@@ -228,8 +221,8 @@ def c_complex_links(draw):
 @given(link=c_complex_links(), n=st.integers(2, 7))
 def test_conjugation_leaves_sigma_unchanged(link, n):
     points = list(grid(n, link.mu, include_faces=True))
-    records = sample_map(link, points)
-    mirrored = sample_map(link, [pt.conjugate() for pt in points])
+    records = sweep(link, points).records()
+    mirrored = sweep(link, [pt.conjugate() for pt in points]).records()
     for rec, conj in zip(records, mirrored):
         assert conj.point == rec.point.conjugate()
         assert (conj.sigma, conj.eta, conj.source, conj.certified) == \
@@ -257,7 +250,7 @@ def test_integer_congruence_leaves_certified_records_unchanged(data):
     moved = replace(link, seifert={eps: (p.T @ np.array(a) @ p).tolist() for eps, a in link.seifert.items()})
     points = grid(data.draw(st.integers(2, 7)), link.mu, include_faces=True)
     compared = 0
-    for rec, other in zip(sample_map(link, points), sample_map(moved, points)):
+    for rec, other in zip(sweep(link, points).records(), sweep(moved, points).records()):
         if rec.certified and other.certified:
             assert (other.sigma, other.eta, other.source) == (rec.sigma, rec.eta, rec.source), rec.point
             compared += rec.sigma is not None
@@ -288,7 +281,7 @@ def test_direct_sum_adds_certified_records(pair, n):
     total = replace(a, name="direct-sum", g=a.g + b.g, seifert=seifert)
     points = grid(n, a.mu)
     compared = 0
-    for ra, rb, rs in zip(sample_map(a, points), sample_map(b, points), sample_map(total, points)):
+    for ra, rb, rs in zip(sweep(a, points).records(), sweep(b, points).records(), sweep(total, points).records()):
         if ra.certified and rb.certified and rs.certified:
             assert (rs.sigma, rs.eta) == (ra.sigma + rb.sigma, ra.eta + rb.eta), ra.point
             compared += 1

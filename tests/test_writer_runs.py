@@ -30,7 +30,7 @@ from linksig.sampler import (
 from linksig.strata import Strata, strata_to_csv
 from linksig.torus import Lattice, TorusPoint, lattice
 
-from per_point import records_to_json_per_record
+from per_point import records_to_json_per_record, strata_to_csv_per_row
 
 DENOMINATORS = (1, 2, 3, 4, 6, 7, 12, 2**61 - 1, 2**64 + 1)
 
@@ -82,14 +82,6 @@ def _csv_per_row(result: Sweep, mu: int) -> str:
     return "".join(lines)
 
 
-def _strata_per_row(result: Strata, mu: int) -> str:
-    lines = [",".join([f"q{i}" for i in range(1, mu + 1)] + ["index", "predicted_nullity", "flags"]) + "\n"]
-    for rep in result.reports():
-        tail = f",{rep.index},{_na(rep.predicted_nullity)},{'|'.join(sorted(rep.flags))}\n"
-        lines.append(",".join(rep.point.turn_strings()) + tail)
-    return "".join(lines)
-
-
 @pytest.mark.parametrize("seed", range(100))
 def test_writers_from_runs_match_the_per_row_writers(seed):
     rng = random.Random(seed)
@@ -102,7 +94,7 @@ def test_writers_from_runs_match_the_per_row_writers(seed):
     strata = Strata(points, np.array([rng.randint(0, 4) for _ in range(size)], dtype=np.int64),
                     np.array([rng.random() < 0.3 for _ in range(size)], dtype=bool),
                     np.array([rng.randint(0, 4) for _ in range(size)], dtype=np.int64))
-    assert strata_to_csv(strata, mu) == _strata_per_row(strata, mu)
+    assert strata_to_csv(strata, mu) == strata_to_csv_per_row(strata, mu)
 
 
 def test_writers_on_empty_input():
